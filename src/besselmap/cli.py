@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from . import identities, sigmaop, sonine, specfun
@@ -250,9 +251,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Options whose value may be a negative number in scientific notation.
+# argparse's negative-number pattern has no exponent, so it takes a bare
+# "-6.4e-09" for an option flag; such a value is attached as "--order=-6.4e-09".
+_SIGNED_VALUE_OPTIONS = ("--order", "--arg")
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and _NEGATIVE_NUMBER.fullmatch(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         payload, code = args.run(args)
     except (ValueError, ArithmeticError) as exc:

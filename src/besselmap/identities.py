@@ -26,11 +26,18 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .logseries import LogPowerSeries
-from .sigmaop import SigmaConfig, apply_exp_sigma, kernel_identity_check, lambda_coefficients
+from .sigmaop import (
+    SigmaConfig,
+    exp_sigma_partial_sums,
+    kernel_identity_check,
+    lambda_coefficients,
+)
 from .specfun import (
     bessel_j,
     bessel_t_series,
@@ -132,16 +139,25 @@ def _report(identity_id, params, observed, residual, tail, tol, details=None, no
 # ---------------------------------------------------------------------------
 
 
-def _reduced_j_signlog(n: int, z: float) -> tuple[float, float]:
-    """(sign, log|J_n(z)/z^n|) for any integer n; the n < 0 values carry z^|n|."""
+def _log_reduced_j_table(x: float, nmax: int) -> list[tuple[float, float]]:
+    """log_reduced_j(m, x) for m = 0..nmax: the factors the bilinear sums need
+    at both n and -n, computed once per |n|."""
+    return [log_reduced_j(m, x) for m in range(nmax + 1)]
+
+
+def _reduced_j_signlog(n: int, z: float, table=None) -> tuple[float, float]:
+    """(sign, log|J_n(z)/z^n|) for any integer n; the n < 0 values carry z^|n|.
+
+    ``table`` is ``_log_reduced_j_table(z, m)`` for some m >= |n|; without it
+    the factor is computed directly."""
+    m = abs(n)
     if n >= 0:
         if z == 0.0:
             return 1.0, -n * math.log(2.0) - math.lgamma(n + 1.0)
-        return log_reduced_j(n, z)
+        return table[m] if table is not None else log_reduced_j(m, z)
     if z == 0.0:
         return 1.0, -math.inf
-    m = -n
-    s, l = log_reduced_j(m, z)
+    s, l = table[m] if table is not None else log_reduced_j(m, z)
     return s * (-1.0) ** (m % 2), l + 2.0 * m * math.log(z)
 
 
@@ -154,13 +170,13 @@ def _tn_neumann_signlog(p: int, t: float, table) -> tuple[float, float]:
     return s * (-1.0) ** (q % 2), l - 2.0 * q * math.log(t)
 
 
-def _tn_j_signlog(p: int, t: float) -> tuple[float, float]:
-    """(sign, log|t^p J_p(t)|) for any integer p."""
+def _tn_j_signlog(p: int, t: float, table=None) -> tuple[float, float]:
+    """(sign, log|t^p J_p(t)|) for any integer p; ``table`` as for
+    :func:`_reduced_j_signlog`, at t."""
+    q = abs(p)
+    s, l = table[q] if table is not None else log_reduced_j(q, t)
     if p >= 0:
-        s, l = log_reduced_j(p, t)
         return s, l + 2.0 * p * math.log(t)
-    q = -p
-    s, l = log_reduced_j(q, t)
     return s * (-1.0) ** (q % 2), l
 
 
@@ -173,16 +189,21 @@ def _combine(a: tuple[float, float], b: tuple[float, float]) -> float:
     return a[0] * b[0] * math.exp(lg)
 
 
+@lru_cache(maxsize=2)
 def _bilinear_terms(z: float, t: float, N: int):
-    """Per-n terms of the EQ9/EQ11 sums: (N-weighted term, J-weighted term)."""
-    table = neumann_scaled_table(t, N + 2)
+    """Per-n terms of the EQ9/EQ11 sums: (N-weighted term, J-weighted term),
+    as read-only mappings n -> term.  Memoised, so EQ9 and EQ11 at the same
+    (z, t, N) share one computation."""
+    n_table = neumann_scaled_table(t, N + 2)
+    z_table = _log_reduced_j_table(z, N) if z != 0.0 else None
+    t_table = _log_reduced_j_table(t, N + 1)
     n_terms: dict[int, float] = {}
     j_terms: dict[int, float] = {}
     for n in range(-N, N + 1):
-        jf = _reduced_j_signlog(n, z)
-        n_terms[n] = _combine(jf, _tn_neumann_signlog(n - 1, t, table))
-        j_terms[n] = _combine(jf, _tn_j_signlog(n - 1, t))
-    return n_terms, j_terms
+        jf = _reduced_j_signlog(n, z, z_table)
+        n_terms[n] = _combine(jf, _tn_neumann_signlog(n - 1, t, n_table))
+        j_terms[n] = _combine(jf, _tn_j_signlog(n - 1, t, t_table))
+    return MappingProxyType(n_terms), MappingProxyType(j_terms)
 
 
 def _symmetric_partials(terms: dict[int, float], N: int) -> list[float]:
@@ -408,17 +429,16 @@ def check_eq18_order(
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
     family = "H1" if kind == 1 else "H2"
-    entry = _lambda_entry(hankel_t_series(kind, n, K), "z2", M, j, sign=1)
+    mapped = {k: _lambda_entry(hankel_t_series(k, n, K), "z2", M, j, sign=1) for k in (1, 2)}
+    entry = mapped[kind]
     distances = []
     for t in probes:
         got = entry.evaluate(0.5 * t * t)
         want = lambda_taylor_target(family, n, j, t)
         distances.append(abs(got - want))
     # closing consistency: mapped H series recombine into the mapped J series
-    e1 = _lambda_entry(hankel_t_series(1, n, K), "z2", M, j, sign=1)
-    e2 = _lambda_entry(hankel_t_series(2, n, K), "z2", M, j, sign=1)
     ej = _lambda_entry(bessel_t_series(n, K), "z2", M, j, sign=1)
-    recombined = (e1 + e2).scale(0.5)
+    recombined = (mapped[1] + mapped[2]).scale(0.5)
     rec_residual = recombined.compare(ej, K - j * M)
     return _report(
         "EQ18_ORDER_J",
@@ -448,14 +468,21 @@ def check_integer_shift(
     base = neumann_t_series(n, K)
     target = t ** (n + 1) * neumann(float(n + 1), t).value.real
     u = 0.5 * t * t
-    residuals = []
-    for jm in J_max_list:
-        cfg = SigmaConfig(variant="z2", shift_window=M, exp_order=int(jm), lam=1.0)
-        try:
-            val = apply_exp_sigma(base, cfg, sign=1).evaluate(u)
-            residuals.append(abs(val - target))
-        except (ValueError, OverflowError):
-            residuals.append(math.inf)
+    # one ladder up to the largest order; the map at order J is its J-th prefix
+    wanted = {int(jm) for jm in J_max_list}
+    if min(wanted) < 0:
+        raise ValueError("exp_order must be >= 0")
+    cfg = SigmaConfig(variant="z2", shift_window=M, exp_order=max(wanted), lam=1.0)
+    by_order: dict[int, float] = {}
+    try:
+        for order, partial in enumerate(exp_sigma_partial_sums(base, cfg, sign=1)):
+            if not np.isfinite(partial.coef).all():
+                break  # an overflowed coefficient: this order and every higher one report inf
+            if order in wanted:
+                by_order[order] = abs(partial.evaluate(u) - target)
+    except (ValueError, OverflowError):
+        pass  # this order and every higher one report inf
+    residuals = [by_order.get(int(jm), math.inf) for jm in J_max_list]
     tol = residuals[0] / 2.0 if residuals[0] > 0 else 0.0
     return _report(
         "EQ17_SHIFT",

@@ -19,6 +19,15 @@ K_trunc drops by M per application and terms above the new K_trunc are
 discarded.  Coefficients at the surviving powers (including any negative
 powers generated from log terms) received every in-window contribution.
 
+Sigma is linear and its action depends only on where a series' dense
+coefficient block sits (k_min, K_trunc, log columns J) and on (M,
+variant).  So it is applied as one real matrix-vector product.  The
+matrix is composed once from the derivative and antiderivative kernels
+of :mod:`besselmap.logseries` and kept in a bounded LRU cache keyed by
+that structure.  The lam^j ladder of the exponential is repeated
+products, one per order; a ladder up to the largest order also yields
+every lower truncation as a partial sum (:func:`exp_sigma_partial_sums`).
+
 The truncated map is a diagnostic object: how closely it reproduces
 real-order Bessel-family targets is *measured* by the identity checkers,
 not assumed.
@@ -26,20 +35,27 @@ not assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .logseries import LogPowerSeries
+import numpy as np
+
+from .logseries import LogPowerSeries, antiderivative_block, derivative_block
 
 __all__ = [
     "SigmaConfig",
     "apply_sigma",
     "apply_exp_sigma",
+    "exp_sigma_partial_sums",
     "lambda_coefficients",
     "kernel_identity_check",
 ]
 
 _VARIANTS = ("z1", "z2")
+
+# Operator matrices kept, one per input structure (k_min, K_trunc, J, M,
+# variant).  A pass of the identity battery touches a few dozen structures.
+SIGMA_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -67,24 +83,52 @@ class SigmaConfig:
         return 1.0 if self.variant == "z1" else (-1.0) ** (m % 2)
 
 
-def apply_sigma(s: LogPowerSeries, cfg: SigmaConfig) -> LogPowerSeries:
-    """One application of Sigma; the result's reliable order is K_trunc - M."""
-    M = cfg.shift_window
-    k_new = s.K_trunc - M
-    acc: dict[tuple[int, int], complex] = {}
-    d = s
-    a = s
+@lru_cache(maxsize=SIGMA_CACHE_SIZE)
+def _sigma_matrix(k_min: int, K_trunc: int, J: int, M: int, variant: str) -> np.ndarray:
+    """Sigma as a real matrix, stored transposed: row i is the image of the
+    i-th input coefficient.  Inputs lie on the (k_min..K_trunc, J) grid and
+    outputs on the (k_min-M..K_trunc-M, J+1) grid, both flattened row-major.
+    Built by applying the derivative and antiderivative kernels to the
+    identity basis, M times each."""
+    cfg = SigmaConfig(variant=variant, shift_window=M)
+    R = K_trunc - k_min + 1
+    n = R * J
+    acc = np.zeros((R, J + 1, n))
+    d = a = np.eye(n).reshape(R, J, n)
     for m in range(1, M + 1):
-        d = d.derivative(1)
-        a = a.antiderivative(1)
+        d = derivative_block(d, k_min - m + 1)
+        a = antiderivative_block(a, k_min + m - 1)
+        if not a[:, -1].any():  # the log degree grows only through the u^-1 row
+            a = a[:, :-1]
         w = cfg.weight(m) / m
-        for (k, j), c in d.terms.items():
-            if k <= k_new:
-                acc[(k, j)] = acc.get((k, j), 0.0) + w * c
-        for (k, j), c in a.terms.items():
-            if k <= k_new:
-                acc[(k, j)] = acc.get((k, j), 0.0) - w * c
-    return LogPowerSeries(s.variable_tag, acc, k_new)
+        # d^m s holds powers k_min-m.., I^m s powers k_min+m..; keep k <= K_trunc-M
+        if M - m < R:
+            acc[M - m :, :J] += w * d[: R - (M - m)]
+        if M + m < R:
+            acc[M + m :, : a.shape[1]] -= w * a[: R - (M + m)]
+    matrix = np.ascontiguousarray(acc.reshape(R * (J + 1), n).T)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def apply_sigma(s: LogPowerSeries, cfg: SigmaConfig) -> LogPowerSeries:
+    """One application of Sigma; the result's reliable order is K_trunc - M.
+
+    One real matrix-vector product: the cached operator matrix for the
+    series' structure times its real and its imaginary coefficients.  The
+    products are summed over the input coefficients in order by numpy's
+    reduction, not by BLAS, so the rounding does not depend on the BLAS
+    kernel a CPU picks, and coefficients that are zero change no sum.
+    """
+    M = cfg.shift_window
+    R, J = s.coef.shape
+    if R == 0:
+        return LogPowerSeries._from_block(s.variable_tag, 0, s.K_trunc - M, s.coef)
+    matrix = _sigma_matrix(s.k_min, s.K_trunc, J, M, cfg.variant)
+    re_im = np.ascontiguousarray(s.coef).view(np.float64).reshape(R * J, 2)
+    out = (matrix[:, None, :] * re_im[:, :, None]).sum(axis=0)
+    coef = np.ascontiguousarray(out.T).view(np.complex128).reshape(R, J + 1)
+    return LogPowerSeries._from_block(s.variable_tag, s.k_min - M, s.K_trunc - M, coef)
 
 
 def lambda_coefficients(
@@ -105,6 +149,25 @@ def lambda_coefficients(
     return entries
 
 
+def exp_sigma_partial_sums(s: LogPowerSeries, cfg: SigmaConfig, sign: int = 1):
+    """Yield the truncated exponential at every order J = 0..exp_order:
+    sum_{j<=J} (sign*lam)^j Sigma^j s / j!.
+
+    Each order costs one more Sigma application than the one before it, and
+    a caller that stops early pays only for the orders it took.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    out = term = s
+    yield out
+    powl = 1.0
+    for j in range(1, cfg.exp_order + 1):
+        term = apply_sigma(term, cfg).scale(sign / j)
+        powl *= cfg.lam
+        out = out.add(term.scale(powl))
+        yield out
+
+
 def apply_exp_sigma(s: LogPowerSeries, cfg: SigmaConfig, sign: int = 1) -> LogPowerSeries:
     """Truncated exponential: sum_j (sign*lam)^j Sigma^j s / j!, j <= exp_order.
 
@@ -113,12 +176,7 @@ def apply_exp_sigma(s: LogPowerSeries, cfg: SigmaConfig, sign: int = 1) -> LogPo
     """
     if cfg.lam == 0.0:
         return s
-    entries = lambda_coefficients(s, cfg, sign)
-    out = entries[0]
-    powl = 1.0
-    for entry in entries[1:]:
-        powl *= cfg.lam
-        out = out.add(entry.scale(powl))
+    *_, out = exp_sigma_partial_sums(s, cfg, sign)
     return out
 
 

@@ -166,14 +166,19 @@ def _is_integer(nu: float) -> bool:
     return abs(nu - round(nu)) < 1e-8
 
 
-def bessel_j(nu: float, z: float) -> EvalResult:
-    """J_nu(z) by the ascending series, summed until term < 1e-16 * |partial|."""
-    nu = float(nu)
-    z = float(z)
+def _check_domain(nu: float, z: float) -> None:
+    """The public guard: |nu| <= 10 and |z| <= 20."""
     if abs(nu) > _MAX_ORDER:
         raise ValueError(f"|nu| = {abs(nu)} outside the supported order range [-{_MAX_ORDER}, {_MAX_ORDER}]")
     if abs(z) > _MAX_ARG:
         raise ValueError(f"|z| = {abs(z)} outside the supported range (0, {_MAX_ARG}]")
+
+
+def bessel_j(nu: float, z: float) -> EvalResult:
+    """J_nu(z) by the ascending series, summed until term < 1e-16 * |partial|."""
+    nu = float(nu)
+    z = float(z)
+    _check_domain(nu, z)
     if _is_integer(nu):
         n = round(nu)
         if n < 0:
@@ -190,7 +195,12 @@ def bessel_j(nu: float, z: float) -> EvalResult:
         nu = float(n)
     elif z <= 0:
         raise ValueError("z must be positive for non-integer order")
+    return _j_series(nu, z)
 
+
+def _j_series(nu: float, z: float) -> EvalResult:
+    """The ascending series of J_nu(z), z > 0, with no order guard: the
+    integer-order Neumann limit evaluates it just outside |nu| <= 10."""
     half = 0.5 * z
     term = half**nu / gamma(nu + 1.0).real
     total = term
@@ -207,8 +217,8 @@ def bessel_j(nu: float, z: float) -> EvalResult:
 
 
 def _neumann_noninteger(nu: float, z: float) -> EvalResult:
-    jp = bessel_j(nu, z)
-    jm = bessel_j(-nu, z)
+    jp = _j_series(nu, z)
+    jm = _j_series(-nu, z)
     s = math.sin(math.pi * nu)
     c = math.cos(math.pi * nu)
     val = (jp.value.real * c - jm.value.real) / s
@@ -255,6 +265,7 @@ def neumann(nu: float, z: float) -> EvalResult:
     z = float(z)
     if z <= 0:
         raise ValueError("z must be positive")
+    _check_domain(nu, z)
     if not _is_integer(nu):
         return _neumann_noninteger(nu, z)
     n = round(nu)

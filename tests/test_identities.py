@@ -8,6 +8,8 @@ from scipy import special as sp
 
 from besselmap import (
     ReliableOrderExhausted,
+    SigmaConfig,
+    apply_exp_sigma,
     check_eq2_roundtrip,
     check_eq3_closure,
     check_eq3prime_order,
@@ -21,8 +23,14 @@ from besselmap import (
     neumann_t_series,
     run_suite,
 )
-from besselmap.identities import _reduced_j_signlog, _tn_j_signlog, _tn_neumann_signlog
-from besselmap.specfun import neumann_scaled_table
+from besselmap.identities import (
+    _bilinear_terms,
+    _log_reduced_j_table,
+    _reduced_j_signlog,
+    _tn_j_signlog,
+    _tn_neumann_signlog,
+)
+from besselmap.specfun import log_reduced_j, neumann_scaled_table
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +49,28 @@ def test_signlog_factors_match_direct(n):
     assert s * math.exp(l) == pytest.approx(t**n * float(sp.jv(n, t)), rel=1e-10)
     s, l = _tn_neumann_signlog(n, t, table)
     assert s * math.exp(l) == pytest.approx(t**n * float(sp.yv(n, t)), rel=1e-9)
+
+
+@pytest.mark.parametrize("x", [0.3, 2.0, 7.5])
+def test_signlog_tables_match_scalar_factors(x):
+    """The |n|-indexed tables give the same bits as the per-n scalar calls."""
+    table = _log_reduced_j_table(x, 40)
+    assert table == [log_reduced_j(m, x) for m in range(41)]
+    for n in range(-40, 41):
+        assert _reduced_j_signlog(n, x, table) == _reduced_j_signlog(n, x)
+        assert _tn_j_signlog(n, x, table) == _tn_j_signlog(n, x)
+
+
+def test_bilinear_terms_shared_between_eq9_and_eq11():
+    _bilinear_terms.cache_clear()
+    check_eq11(0.4, 1.7, N=60)
+    check_eq9_real(0.4, 1.7, N=60)
+    info = _bilinear_terms.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert info.currsize <= info.maxsize
+    n_terms, _ = _bilinear_terms(0.4, 1.7, 60)
+    with pytest.raises(TypeError):
+        n_terms[0] = 0.0  # every caller sees the same read-only terms
 
 
 def test_signlog_at_z_zero():
@@ -193,6 +223,18 @@ def test_integer_shift_trend_report():
     assert rep.residual == rep.observed[-1]
     assert rep.tolerance == rep.observed[0] / 2.0
     assert "trend" in rep.notes
+
+
+@pytest.mark.parametrize("n,t", [(0, 1.0), (1, 0.6), (2, 1.9)])
+def test_integer_shift_ladder_matches_each_truncated_map(n, t):
+    """One shared ladder gives, bit for bit, the residual of the map truncated
+    separately at each exponential order."""
+    rep = check_integer_shift(n, t=t, J_max_list=(4, 0, 2, 6, 8, 2))
+    base = neumann_t_series(n, 16)
+    target = rep.details["target"]
+    for jm, got in zip(rep.params["J_max_list"], rep.observed):
+        cfg = SigmaConfig("z2", shift_window=12, exp_order=jm, lam=1.0)
+        assert got == abs(apply_exp_sigma(base, cfg, sign=1).evaluate(0.5 * t * t) - target)
 
 
 def test_integer_shift_validation():

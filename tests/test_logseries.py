@@ -270,3 +270,60 @@ def test_serialization_round_trip():
     assert back.variable_tag == s.variable_tag
     # record order is deterministic
     assert rec == s.to_records()
+
+
+# ---------------------------------------------------------------------------
+# dense storage against the termwise rules
+# ---------------------------------------------------------------------------
+
+
+def _termwise_derivative(terms):
+    """d/du by the termwise rule, one (k, j) term at a time in sorted order."""
+    out = {}
+    for (k, j), a in sorted(terms.items()):
+        if k != 0:
+            out[(k - 1, j)] = out.get((k - 1, j), 0.0) + a * k
+        if j != 0:
+            out[(k - 1, j - 1)] = out.get((k - 1, j - 1), 0.0) + a * j
+    return {kj: a for kj, a in out.items() if a != 0}
+
+
+def _termwise_antiderivative(terms):
+    """∫ du by the termwise rule: u^-1 raises the log power, every other
+    power integrates by parts down the log powers."""
+    out = {}
+    for (k, j), a in sorted(terms.items()):
+        if k == -1:
+            out[(0, j + 1)] = out.get((0, j + 1), 0.0) + a / (j + 1)
+            continue
+        for jj in range(j, -1, -1):
+            out[(k + 1, jj)] = out.get((k + 1, jj), 0.0) + a / (k + 1)
+            a = -a * jj / (k + 1)
+    return {kj: a for kj, a in out.items() if a != 0}
+
+
+def test_dense_calculus_matches_termwise_rules():
+    """The array kernels do the termwise arithmetic in the same order, so the
+    results agree bit for bit, including the u^-1 row and log powers up to 3."""
+    rng = random.Random(5)
+    for _ in range(200):
+        s = _random_series(rng)
+        assert dict(s.derivative().terms) == _termwise_derivative(s.terms)
+        assert dict(s.antiderivative().terms) == _termwise_antiderivative(s.terms)
+
+
+def test_terms_view_is_read_only_and_sorted():
+    s = S({(3, 0): 1.0, (-1, 1): 2.0, (0, 2): -1.0})
+    assert list(s.terms) == [(-1, 1), (0, 2), (3, 0)]
+    with pytest.raises(TypeError):
+        s.terms[(0, 0)] = 1.0
+    with pytest.raises(ValueError):
+        s.coef[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        s.K_trunc = 12
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(0.0, math.inf), complex(math.nan, 1.0)])
+def test_non_finite_coefficient_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        LogPowerSeries("u-of-z", {(0, 0): 1.0, (2, 1): bad}, 4)

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from besselmap import (
     LogPowerSeries,
@@ -13,6 +14,7 @@ from besselmap import (
     kernel_identity_check,
     lambda_coefficients,
     reduced_j_series,
+    sigmaop,
 )
 
 
@@ -162,3 +164,69 @@ def test_truncated_map_known_gap_is_stable():
     expected = sum((-1.0) ** (m + 1) / (m * math.factorial(m) * 2.0**m) for m in range(1, 40))
     assert plateau == pytest.approx(expected, abs=1e-12)
     assert abs(plateau - (0.5772156649015329 - math.log(2.0))) > 0.5
+
+
+# ---------------------------------------------------------------------------
+# the cached matrix form against the definition
+# ---------------------------------------------------------------------------
+
+_coefficient = st.complex_numbers(
+    min_magnitude=1e-3, max_magnitude=10.0, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _series_and_config(draw):
+    K = draw(st.integers(0, 10))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(-5, K), st.integers(0, 2)), _coefficient, min_size=1, max_size=14
+        )
+    )
+    terms[(-1, draw(st.integers(0, 2)))] = draw(_coefficient)  # the u^-1 row raises log powers
+    cfg = SigmaConfig(draw(st.sampled_from(("z1", "z2"))), shift_window=draw(st.integers(1, 6)))
+    return LogPowerSeries("u-of-t", terms, K), cfg
+
+
+def _sigma_by_definition(s, cfg):
+    """sum_m w(m)/m (d^m s - I^m s), truncated at K_trunc - M, one step at a time."""
+    M = cfg.shift_window
+    out = LogPowerSeries(s.variable_tag, {}, s.K_trunc - M)
+    for m in range(1, M + 1):
+        w = cfg.weight(m) / m
+        out = out.add(s.derivative(m).scale(w)).add(s.antiderivative(m).scale(-w))
+    scale = max(
+        (
+            abs(a) / m
+            for m in range(1, M + 1)
+            for x in (s.derivative(m), s.antiderivative(m))
+            for a in x.terms.values()
+        ),
+        default=0.0,
+    )
+    return out, scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_and_config())
+def test_apply_sigma_matches_definition(case):
+    s, cfg = case
+    got = apply_sigma(s, cfg)
+    want, scale = _sigma_by_definition(s, cfg)
+    assert got.K_trunc == want.K_trunc == s.K_trunc - cfg.shift_window
+    assert got.compare(want, got.K_trunc) <= 1e-13 * scale
+
+
+def test_sigma_matrix_cache_is_bounded():
+    s = const()
+    for K in range(sigmaop.SIGMA_CACHE_SIZE + 8):
+        apply_sigma(LogPowerSeries("u-of-z", {(0, 0): 1.0}, K), SigmaConfig("z1", shift_window=1))
+    info = sigmaop._sigma_matrix.cache_info()
+    assert info.maxsize == sigmaop.SIGMA_CACHE_SIZE
+    assert info.currsize <= info.maxsize
+    # a hit returns the same read-only matrix and the same result
+    first = apply_sigma(s, SigmaConfig("z2", shift_window=3))
+    hits = sigmaop._sigma_matrix.cache_info().hits
+    again = apply_sigma(s, SigmaConfig("z2", shift_window=3))
+    assert sigmaop._sigma_matrix.cache_info().hits == hits + 1
+    assert again == first

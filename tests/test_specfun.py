@@ -187,6 +187,34 @@ def test_n_domain_error():
         neumann(0.0, 0.0)
 
 
+@pytest.mark.parametrize("n", [10, -10])
+@pytest.mark.parametrize("z", [0.01, 0.5, 3.0, 12.0, 20.0])
+def test_n_order_ten_at_the_domain_edge(n, z):
+    """|n| = 10 is inside the domain; the order limit samples n +/- 1e-3,
+    just outside it, through the unguarded series."""
+    mpmath = pytest.importorskip("mpmath")
+    r = neumann(float(n), z)
+    oracle = neumann_log_series(10, z).value.real  # N_-10 = N_10
+    ref = float(mpmath.bessely(n, mpmath.mpf(z)))
+    assert r.err_estimate == abs(r.value.real - oracle)
+    # the floor is the log series' own cancellation error, 8e-11 relative at z = 20
+    assert abs(r.value.real - ref) <= r.err_estimate + 1e-10 * abs(ref)
+    assert r.value.real == pytest.approx(ref, rel=1e-6)
+    h1, h2 = hankel(1, float(n), z).value, hankel(2, float(n), z).value
+    assert h1.imag == r.value.real == -h2.imag
+    assert h1.real == h2.real == bessel_j(float(n), z).value.real
+
+
+def test_n_order_guard_stays_on_public_entry_points():
+    for nu in (10.5, -10.001, 11.0):
+        with pytest.raises(ValueError, match="order range"):
+            neumann(nu, 1.0)
+        with pytest.raises(ValueError, match="order range"):
+            hankel(1, nu, 1.0)
+    with pytest.raises(ValueError, match="supported range"):
+        neumann(2.5, 25.0)
+
+
 # ---------------------------------------------------------------------------
 # H
 # ---------------------------------------------------------------------------
