@@ -39,7 +39,6 @@ from .sigmaop import (
 from .sonine import GeneratingPair, PAIRS, a_function, bessel_pair, bilinear_check, z_function
 from .specfun import (
     EvalResult,
-    Order,
     bessel_j,
     bessel_t_series,
     digamma,
@@ -62,7 +61,6 @@ __all__ = [
     "GeneratingPair",
     "IdentityReport",
     "LogPowerSeries",
-    "Order",
     "PAIRS",
     "ReliableOrderExhausted",
     "SigmaConfig",

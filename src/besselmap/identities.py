@@ -38,6 +38,7 @@ from .sigmaop import (
     kernel_identity_check,
     lambda_coefficients,
 )
+from .sonine import _symmetric_partials, _tail_fit
 from .specfun import (
     bessel_j,
     bessel_t_series,
@@ -145,19 +146,19 @@ def _log_reduced_j_table(x: float, nmax: int) -> list[tuple[float, float]]:
     return [log_reduced_j(m, x) for m in range(nmax + 1)]
 
 
-def _reduced_j_signlog(n: int, z: float, table=None) -> tuple[float, float]:
+def _reduced_j_signlog(n: int, z: float, table) -> tuple[float, float]:
     """(sign, log|J_n(z)/z^n|) for any integer n; the n < 0 values carry z^|n|.
 
-    ``table`` is ``_log_reduced_j_table(z, m)`` for some m >= |n|; without it
-    the factor is computed directly."""
+    ``table`` is ``_log_reduced_j_table(z, m)`` for some m >= |n| (unused at
+    z = 0)."""
     m = abs(n)
     if n >= 0:
         if z == 0.0:
             return 1.0, -n * math.log(2.0) - math.lgamma(n + 1.0)
-        return table[m] if table is not None else log_reduced_j(m, z)
+        return table[m]
     if z == 0.0:
         return 1.0, -math.inf
-    s, l = table[m] if table is not None else log_reduced_j(m, z)
+    s, l = table[m]
     return s * (-1.0) ** (m % 2), l + 2.0 * m * math.log(z)
 
 
@@ -170,11 +171,11 @@ def _tn_neumann_signlog(p: int, t: float, table) -> tuple[float, float]:
     return s * (-1.0) ** (q % 2), l - 2.0 * q * math.log(t)
 
 
-def _tn_j_signlog(p: int, t: float, table=None) -> tuple[float, float]:
+def _tn_j_signlog(p: int, t: float, table) -> tuple[float, float]:
     """(sign, log|t^p J_p(t)|) for any integer p; ``table`` as for
     :func:`_reduced_j_signlog`, at t."""
     q = abs(p)
-    s, l = table[q] if table is not None else log_reduced_j(q, t)
+    s, l = table[q]
     if p >= 0:
         return s, l + 2.0 * p * math.log(t)
     return s * (-1.0) ** (q % 2), l
@@ -204,35 +205,6 @@ def _bilinear_terms(z: float, t: float, N: int):
         n_terms[n] = _combine(jf, _tn_neumann_signlog(n - 1, t, n_table))
         j_terms[n] = _combine(jf, _tn_j_signlog(n - 1, t, t_table))
     return MappingProxyType(n_terms), MappingProxyType(j_terms)
-
-
-def _symmetric_partials(terms: dict[int, float], N: int) -> list[float]:
-    s = terms[0]
-    out = [s]
-    for k in range(1, N + 1):
-        s += terms[k] + terms[-k]
-        out.append(s)
-    return out
-
-
-def _tail_fit(terms: dict[int, float], N: int) -> tuple[float, float]:
-    """Fit |pair_k| ~ C / k^alpha over the last decade; return (alpha, tail estimate)."""
-    ks, ps = [], []
-    for k in range(max(2, N // 10), N + 1):
-        pk = abs(terms[k] + terms.get(-k, 0.0))
-        if 0.0 < pk < math.inf:
-            ks.append(math.log(k))
-            ps.append(math.log(pk))
-    if len(ks) < 3:
-        return float("nan"), float("nan")
-    slope, intercept = np.polyfit(ks, ps, 1)
-    alpha = -float(slope)
-    c = math.exp(float(intercept))
-    if alpha > 1.0:
-        tail = c / ((alpha - 1.0) * N ** (alpha - 1.0))
-    else:
-        tail = float("inf")
-    return alpha, tail
 
 
 def check_eq11(z: float, t: float, N: int = 200, tol: float = 5e-3) -> IdentityReport:

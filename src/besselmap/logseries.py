@@ -292,16 +292,6 @@ class LogPowerSeries:
     def scale(self, c: complex) -> "LogPowerSeries":
         return LogPowerSeries._from_block(self.variable_tag, self.k_min, self.K_trunc, self.coef * c)
 
-    def mul_monomial(self, dk: int, dj: int = 0) -> "LogPowerSeries":
-        """Multiply by u**dk (log u)**dj; the truncation order shifts with dk."""
-        if dj < 0:
-            raise ValueError("dj must be non-negative")
-        coef = np.zeros((self.coef.shape[0], self.coef.shape[1] + dj), dtype=complex)
-        coef[:, dj:] = self.coef
-        return LogPowerSeries._from_block(
-            self.variable_tag, self.k_min + dk, self.K_trunc + dk, coef
-        )
-
     def __add__(self, other: "LogPowerSeries") -> "LogPowerSeries":
         return self.add(other)
 
@@ -310,9 +300,6 @@ class LogPowerSeries:
 
     def __neg__(self) -> "LogPowerSeries":
         return self.scale(-1.0)
-
-    def __rmul__(self, c: complex) -> "LogPowerSeries":
-        return self.scale(c)
 
     # -- calculus ----------------------------------------------------------------
 

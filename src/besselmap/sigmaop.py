@@ -131,6 +131,17 @@ def apply_sigma(s: LogPowerSeries, cfg: SigmaConfig) -> LogPowerSeries:
     return LogPowerSeries._from_block(s.variable_tag, s.k_min - M, s.K_trunc - M, coef)
 
 
+def _sigma_ladder(s: LogPowerSeries, cfg: SigmaConfig, sign: int):
+    """Yield sign^j Sigma^j s / j! for j = 0..exp_order, Sigma^j by nesting."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    term = s
+    yield term
+    for j in range(1, cfg.exp_order + 1):
+        term = apply_sigma(term, cfg).scale(sign / j)
+        yield term
+
+
 def lambda_coefficients(
     s: LogPowerSeries, cfg: SigmaConfig, sign: int = 1
 ) -> list[LogPowerSeries]:
@@ -139,14 +150,7 @@ def lambda_coefficients(
     Entry j is sign^j Sigma^j s / j!, with Sigma^j computed by nesting, so
     entry j's reliable order is K_trunc - j*M.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    entries = [s]
-    term = s
-    for j in range(1, cfg.exp_order + 1):
-        term = apply_sigma(term, cfg).scale(sign / j)
-        entries.append(term)
-    return entries
+    return list(_sigma_ladder(s, cfg, sign))
 
 
 def exp_sigma_partial_sums(s: LogPowerSeries, cfg: SigmaConfig, sign: int = 1):
@@ -156,13 +160,11 @@ def exp_sigma_partial_sums(s: LogPowerSeries, cfg: SigmaConfig, sign: int = 1):
     Each order costs one more Sigma application than the one before it, and
     a caller that stops early pays only for the orders it took.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out = term = s
+    ladder = _sigma_ladder(s, cfg, sign)
+    out = next(ladder)
     yield out
     powl = 1.0
-    for j in range(1, cfg.exp_order + 1):
-        term = apply_sigma(term, cfg).scale(sign / j)
+    for term in ladder:
         powl *= cfg.lam
         out = out.add(term.scale(powl))
         yield out

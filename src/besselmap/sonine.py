@@ -7,8 +7,8 @@ A generating pair is a function Omega and its inverse Mho.  The pair defines
 
 Z_n is computed by the trapezoidal rule on a circle |tau| = r, which is
 spectrally accurate for integrands analytic in a neighbourhood of the
-circle.  A_n is computed by the same half-line scheme as the K-function
-quadrature.
+circle.  A_n is computed by the half-line trapezoid that also gives the K
+functions (``specfun._halfline_quadrature``).
 
 Sign convention: both exponents are taken decaying (-z^2 Omega and -t^2 x).
 With the growing t-exponent the half-line integral does not exist for real
@@ -21,14 +21,13 @@ this convention.  Under it the bilinear sum converges (for |z| < t) to
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .specfun import EvalResult
+from .specfun import EvalResult, _halfline_quadrature
 
 __all__ = ["GeneratingPair", "bessel_pair", "z_function", "a_function", "bilinear_check", "PAIRS"]
 
@@ -37,19 +36,19 @@ _CONTOUR_BUDGET = 2**12
 
 @dataclass(frozen=True)
 class GeneratingPair:
-    """An (Omega, Mho) pair with its quadrature parameters.
+    """An (Omega, Mho) pair with its contour parameters.
 
+    ``omega`` receives the numpy array of all contour nodes at once and
+    must act elementwise; the inverse check below also calls it on floats.
     Construction samples x in (0, 10] and requires Omega(Mho(x)) = x to
     1e-12; a pair that fails the inverse check is rejected.
     """
 
     name: str
-    omega: Callable[[complex], complex]
+    omega: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[float], float]
     contour_radius: float = 1.0
     contour_nodes: int = 256
-    halfline_window: float = 12.0
-    halfline_rel_target: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.contour_radius <= 0:
@@ -83,8 +82,7 @@ def _contour_sum(pair: GeneratingPair, n: int, z: float, nodes: int) -> complex:
     r = pair.contour_radius
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     tau = r * np.exp(1j * theta)
-    om = np.array([pair.omega(t) for t in tau])
-    vals = np.exp(-z * z * om + tau / 2.0) * tau ** (-n)
+    vals = np.exp(-z * z * pair.omega(tau) + tau / 2.0) * tau ** (-n)
     return complex(vals.mean())
 
 
@@ -119,8 +117,8 @@ def _real_if_close(v: complex) -> complex:
 def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
     """A_n(t) by half-line quadrature under the decaying-exponent convention.
 
-    Divergence (growth under node doubling) raises instead of returning a
-    number.
+    Divergence (growth under node doubling) raises ArithmeticError instead
+    of returning a number.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -134,35 +132,37 @@ def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
             return 0.0
         return math.exp(expo) * m**n * x  # trailing x is the e^w jacobian
 
-    window = pair.halfline_window
+    val, err, nodes = _halfline_quadrature(g)
+    return EvalResult(val, err, nodes)
 
-    def sample(h: float) -> tuple[float, int]:
-        total = g(1.0)
-        count = 1
-        w = h
-        while w <= window:
-            total += g(math.exp(w)) + g(math.exp(-w))
-            count += 2
-            w += h
-        return total * h, count
 
-    prev, nodes = sample(0.5)
-    h = 0.25
-    growth = 0
-    while nodes < 2**14:
-        cur, nodes = sample(h)
-        err = abs(cur - prev)
-        if err <= pair.halfline_rel_target * max(abs(cur), 1e-300):
-            return EvalResult(cur, err, nodes)
-        if abs(cur) > 4.0 * abs(prev) + 1.0:
-            growth += 1
-            if growth >= 2:
-                raise ArithmeticError(
-                    f"A_{n}({t}) diverges under node doubling (pair {pair.name!r})"
-                )
-        prev = cur
-        h *= 0.5
-    raise ArithmeticError(f"A_{n}({t}) did not stabilize within the node budget")
+def _symmetric_partials(terms: dict[int, float], N: int) -> list[float]:
+    s = terms[0]
+    out = [s]
+    for k in range(1, N + 1):
+        s += terms[k] + terms[-k]
+        out.append(s)
+    return out
+
+
+def _tail_fit(terms: dict[int, float], N: int) -> tuple[float, float]:
+    """Fit |pair_k| ~ C / k^alpha over the last decade; return (alpha, tail estimate)."""
+    ks, ps = [], []
+    for k in range(max(2, N // 10), N + 1):
+        pk = abs(terms[k] + terms.get(-k, 0.0))
+        if 0.0 < pk < math.inf:
+            ks.append(math.log(k))
+            ps.append(math.log(pk))
+    if len(ks) < 3:
+        return float("nan"), float("nan")
+    slope, intercept = np.polyfit(ks, ps, 1)
+    alpha = -float(slope)
+    c = math.exp(float(intercept))
+    if alpha > 1.0:
+        tail = c / ((alpha - 1.0) * N ** (alpha - 1.0))
+    else:
+        tail = float("inf")
+    return alpha, tail
 
 
 def bilinear_check(pair: GeneratingPair, z: float, t: float, N: int) -> dict:
@@ -192,21 +192,9 @@ def bilinear_check(pair: GeneratingPair, z: float, t: float, N: int) -> dict:
         terms[n] = (zr.value * ar.value).real
         noise += zr.err_estimate * abs(ar.value) + abs(zr.value) * ar.err_estimate
         effort += zr.effort + ar.effort
-    partials = []
-    s = terms[0]
-    partials.append(s)
-    for k in range(1, N + 1):
-        s += terms[k] + terms[-k]
-        partials.append(s)
-    ks, ps = [], []
-    for k in range(max(2, N // 10), N + 1):
-        pk = abs(terms[k] + terms[-k])
-        if pk > 0:
-            ks.append(math.log(k))
-            ps.append(math.log(pk))
-    tail_exponent = float("nan")
-    if len(ks) >= 3:
-        tail_exponent = -float(np.polyfit(ks, ps, 1)[0])
+    partials = _symmetric_partials(terms, N)
+    s = partials[-1]
+    tail_exponent, _ = _tail_fit(terms, N)
     empirical = 1.0 / (t * t + z * z)
     formal = -1.0 / (t * t - z * z)
     return {

@@ -93,7 +93,7 @@ def test_map_nonzero_lambda_reports_reliable_order(run_cli):
 
 
 def test_check_eq11_passes(run_cli):
-    r = run_cli("--format", "json", "check", "--id", "EQ11", "--z", "0.5", "--t", "2", "--N", "200")
+    r = run_cli("--format", "json", "check", "--id", "EQ11_SUM", "--z", "0.5", "--t", "2", "--N", "200")
     assert r.returncode == 0
     payload = json.loads(r.stdout)
     assert payload["verdict"] == "pass"

@@ -42,10 +42,10 @@ from besselmap.specfun import log_reduced_j, neumann_scaled_table
 def test_signlog_factors_match_direct(n):
     z, t = 0.7, 2.0
     table = neumann_scaled_table(t, 10)
-    s, l = _reduced_j_signlog(n, z)
+    s, l = _reduced_j_signlog(n, z, _log_reduced_j_table(z, 5))
     want = float(sp.jv(n, z)) / z**n
     assert s * math.exp(l) == pytest.approx(want, rel=1e-10)
-    s, l = _tn_j_signlog(n, t)
+    s, l = _tn_j_signlog(n, t, _log_reduced_j_table(t, 5))
     assert s * math.exp(l) == pytest.approx(t**n * float(sp.jv(n, t)), rel=1e-10)
     s, l = _tn_neumann_signlog(n, t, table)
     assert s * math.exp(l) == pytest.approx(t**n * float(sp.yv(n, t)), rel=1e-9)
@@ -53,12 +53,14 @@ def test_signlog_factors_match_direct(n):
 
 @pytest.mark.parametrize("x", [0.3, 2.0, 7.5])
 def test_signlog_tables_match_scalar_factors(x):
-    """The |n|-indexed tables give the same bits as the per-n scalar calls."""
+    """The |n|-indexed tables give the same bits as the per-n scalar calls,
+    and a longer table gives the same factors as the shortest one."""
     table = _log_reduced_j_table(x, 40)
     assert table == [log_reduced_j(m, x) for m in range(41)]
     for n in range(-40, 41):
-        assert _reduced_j_signlog(n, x, table) == _reduced_j_signlog(n, x)
-        assert _tn_j_signlog(n, x, table) == _tn_j_signlog(n, x)
+        shortest = _log_reduced_j_table(x, abs(n))
+        assert _reduced_j_signlog(n, x, table) == _reduced_j_signlog(n, x, shortest)
+        assert _tn_j_signlog(n, x, table) == _tn_j_signlog(n, x, shortest)
 
 
 def test_bilinear_terms_shared_between_eq9_and_eq11():
@@ -74,8 +76,9 @@ def test_bilinear_terms_shared_between_eq9_and_eq11():
 
 
 def test_signlog_at_z_zero():
-    assert _reduced_j_signlog(3, 0.0) == (1.0, -3 * math.log(2.0) - math.lgamma(4.0))
-    assert _reduced_j_signlog(-2, 0.0)[1] == -math.inf
+    # at z = 0 the factors are closed forms; the table is not consulted
+    assert _reduced_j_signlog(3, 0.0, None) == (1.0, -3 * math.log(2.0) - math.lgamma(4.0))
+    assert _reduced_j_signlog(-2, 0.0, None)[1] == -math.inf
 
 
 # ---------------------------------------------------------------------------

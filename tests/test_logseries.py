@@ -225,7 +225,6 @@ def test_truncation_bookkeeping():
     s = S({(2, 0): 1.0}, K=8)
     assert s.derivative(3).K_trunc == 5
     assert s.antiderivative(2).K_trunc == 10
-    assert s.mul_monomial(2, 1).K_trunc == 10
     other = S({(1, 0): 1.0}, K=3)
     summed = s.add(other)
     assert summed.K_trunc == 3

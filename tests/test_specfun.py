@@ -20,7 +20,7 @@ from besselmap import (
     neumann_t_series,
     reduced_j_series,
 )
-from besselmap.specfun import Order, log_reduced_j, neumann_scaled_table
+from besselmap.specfun import _halfline_quadrature, log_reduced_j, neumann_scaled_table
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -70,13 +70,6 @@ def test_digamma_poles():
     for x in (0.0, -3.0):
         with pytest.raises(ValueError):
             digamma(x)
-
-
-def test_order_decomposition():
-    o = Order(2.7)
-    assert o.n == 2 and o.lam == pytest.approx(0.7)
-    o = Order(-0.4)
-    assert o.n == -1 and o.lam == pytest.approx(0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +147,7 @@ def test_n_half_order_closed_form():
 def test_n_integer_limit_against_oracle():
     r = neumann(0.0, 2.0)
     assert r.value.real == pytest.approx(0.510375672649745, abs=1e-9)
-    # err_estimate is the measured distance between the order-limit route
-    # and the logarithmic-series oracle
+    # err_estimate is the logarithmic series' own error bound
     assert r.err_estimate < 1e-8
 
 
@@ -190,19 +182,37 @@ def test_n_domain_error():
 @pytest.mark.parametrize("n", [10, -10])
 @pytest.mark.parametrize("z", [0.01, 0.5, 3.0, 12.0, 20.0])
 def test_n_order_ten_at_the_domain_edge(n, z):
-    """|n| = 10 is inside the domain; the order limit samples n +/- 1e-3,
-    just outside it, through the unguarded series."""
+    """|n| = 10 is inside the domain and evaluates like every integer order."""
     mpmath = pytest.importorskip("mpmath")
     r = neumann(float(n), z)
     oracle = neumann_log_series(10, z).value.real  # N_-10 = N_10
     ref = float(mpmath.bessely(n, mpmath.mpf(z)))
-    assert r.err_estimate == abs(r.value.real - oracle)
-    # the floor is the log series' own cancellation error, 8e-11 relative at z = 20
-    assert abs(r.value.real - ref) <= r.err_estimate + 1e-10 * abs(ref)
+    assert r.value.real == oracle
+    assert abs(r.value.real - ref) <= r.err_estimate
     assert r.value.real == pytest.approx(ref, rel=1e-6)
     h1, h2 = hankel(1, float(n), z).value, hankel(2, float(n), z).value
     assert h1.imag == r.value.real == -h2.imag
     assert h1.real == h2.real == bessel_j(float(n), z).value.real
+
+
+def test_n_integer_order_is_the_log_series_within_its_estimate():
+    """Integer order returns the logarithmic series bit for bit, and its
+    err_estimate bounds the error against mpmath at 40 digits on the grid
+    n = -10..10 x 40 geometric z in [0.01, 20].  N_-n = (-1)^n N_n exactly,
+    so one mpmath reference serves both signs."""
+    mpmath = pytest.importorskip("mpmath")
+    misses = []
+    for n in range(11):
+        for i in range(40):
+            z = 0.01 * 2000.0 ** (i / 39)
+            r, reflected = neumann(float(n), z), neumann(float(-n), z)
+            assert r == neumann_log_series(n, z)
+            assert (reflected.value, reflected.err_estimate) == ((-1.0) ** n * r.value, r.err_estimate)
+            with mpmath.workdps(40):
+                err = float(abs(mpmath.mpf(r.value.real) - mpmath.bessely(n, z)))
+            if err > r.err_estimate:
+                misses.append((n, z, err, r.err_estimate))
+    assert not misses
 
 
 def test_n_order_guard_stays_on_public_entry_points():
@@ -293,6 +303,27 @@ def test_k_integral_general_index():
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0])
 def test_k_grid_vs_scipy(nu, t):
     assert k_bessel(nu, t).value == pytest.approx(float(sp.kv(nu, t)), rel=1e-10)
+
+
+@pytest.mark.parametrize("nu", [-9.5, -9.0, -8.5, -8.0])
+@pytest.mark.parametrize("i", [20, 23])
+def test_k_estimate_is_positive_and_bounds_the_error(nu, i):
+    """At these points two node doublings agree bit for bit, so the last
+    change alone would claim zero error; the summation's rounding keeps the
+    estimate positive and above the mpmath error."""
+    mpmath = pytest.importorskip("mpmath")
+    t = 0.01 * 2000.0 ** (i / 29)
+    r = k_bessel(nu, t)
+    with mpmath.workdps(30):
+        err = float(abs(mpmath.mpf(r.value) - mpmath.besselk(nu, t)))
+    assert 0.0 < r.err_estimate
+    assert err <= r.err_estimate
+
+
+def test_halfline_quadrature_raises_on_divergence():
+    # 1/w^4 near w = 0: each halving of the node spacing multiplies the sum by ~8
+    with pytest.raises(ArithmeticError, match="diverges"):
+        _halfline_quadrature(lambda x: 0.0 if x == 1.0 else math.log(x) ** -4)
 
 
 def test_k_domain_errors():
