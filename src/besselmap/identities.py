@@ -5,8 +5,11 @@ Two kinds of checks live here.
 Bilinear-series checks (EQ9_REAL, EQ11_SUM) sum products of a reduced
 Bessel factor and a weighted Neumann/Bessel factor over n in [-N, N].
 Individual factors overflow/underflow double precision long before the
-products do, so terms are assembled in (sign, log-magnitude) form from
-the scaled evaluators in :mod:`besselmap.specfun`.
+products do, so terms are assembled in (sign, log-magnitude) form.  Each
+factor is one (signs, logs) table over orders m >= 0 from
+:mod:`besselmap.specfun`, reflected once onto n = -N..N; the terms, their
+partial sums and the tail fit are arrays, computed once per (z, t, N) for
+both checks.
 
 Operator-map checks (EQ3P_ORDER_J, EQ15_ORDER_J, EQ18_ORDER_J, EQ17_SHIFT)
 compare the truncated exponential map against real-order targets, order by
@@ -22,12 +25,12 @@ EQ2_ROUNDTRIP, EQ3_CLOSURE and EQ14_KERNEL are definitional guards.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -40,9 +43,9 @@ from .sigmaop import (
 )
 from .sonine import _symmetric_partials, _tail_fit
 from .specfun import (
+    _reduced_j_lambda1_coefficients,
     bessel_j,
     bessel_t_series,
-    digamma,
     hankel,
     hankel_t_series,
     lambda_taylor_target,
@@ -140,75 +143,50 @@ def _report(identity_id, params, observed, residual, tail, tol, details=None, no
 # ---------------------------------------------------------------------------
 
 
-def _log_reduced_j_table(x: float, nmax: int) -> list[tuple[float, float]]:
-    """log_reduced_j(m, x) for m = 0..nmax: the factors the bilinear sums need
-    at both n and -n, computed once per |n|."""
-    return [log_reduced_j(m, x) for m in range(nmax + 1)]
+def _reflect(table, lo: int, hi: int, pos_slope: float, neg_slope: float):
+    """(signs, logs) over p = lo..hi from a (signs, logs) table over p >= 0.
+
+    Index p reads row m = |p|.  For p < 0 an odd m flips the sign.  The log
+    moves by slope * m, with one slope for p >= 0 and one for p < 0.
+    """
+    signs, logs = table
+    p = np.arange(lo, hi + 1)
+    m = np.abs(p)
+    neg = p < 0
+    flip = np.where(neg & (m % 2 == 1), -1.0, 1.0)
+    return signs[m] * flip, logs[m] + np.where(neg, neg_slope, pos_slope) * m
 
 
-def _reduced_j_signlog(n: int, z: float, table) -> tuple[float, float]:
-    """(sign, log|J_n(z)/z^n|) for any integer n; the n < 0 values carry z^|n|.
-
-    ``table`` is ``_log_reduced_j_table(z, m)`` for some m >= |n| (unused at
-    z = 0)."""
-    m = abs(n)
-    if n >= 0:
-        if z == 0.0:
-            return 1.0, -n * math.log(2.0) - math.lgamma(n + 1.0)
-        return table[m]
-    if z == 0.0:
-        return 1.0, -math.inf
-    s, l = table[m]
-    return s * (-1.0) ** (m % 2), l + 2.0 * m * math.log(z)
-
-
-def _tn_neumann_signlog(p: int, t: float, table) -> tuple[float, float]:
-    """(sign, log|t^p N_p(t)|) for any integer p, given the p >= 0 table."""
-    if p >= 0:
-        return table[p]
-    q = -p
-    s, l = table[q]
-    return s * (-1.0) ** (q % 2), l - 2.0 * q * math.log(t)
-
-
-def _tn_j_signlog(p: int, t: float, table) -> tuple[float, float]:
-    """(sign, log|t^p J_p(t)|) for any integer p; ``table`` as for
-    :func:`_reduced_j_signlog`, at t."""
-    q = abs(p)
-    s, l = table[q]
-    if p >= 0:
-        return s, l + 2.0 * p * math.log(t)
-    return s * (-1.0) ** (q % 2), l
-
-
-def _combine(a: tuple[float, float], b: tuple[float, float]) -> float:
-    lg = a[1] + b[1]
-    if lg == -math.inf:
-        return 0.0
-    if lg > 700.0:
-        return a[0] * b[0] * math.inf
-    return a[0] * b[0] * math.exp(lg)
+def _combine(a, b) -> np.ndarray:
+    """Elementwise products of (signs, logs) factors.  exp is taken by libm per
+    element: np.exp differs from it by an ulp at some arguments."""
+    lg = (a[1] + b[1]).tolist()
+    mags = np.array([math.inf if x > 700.0 else math.exp(x) for x in lg])
+    return a[0] * b[0] * mags
 
 
 @lru_cache(maxsize=2)
-def _bilinear_terms(z: float, t: float, N: int):
-    """Per-n terms of the EQ9/EQ11 sums: (N-weighted term, J-weighted term),
-    as read-only mappings n -> term.  Memoised, so EQ9 and EQ11 at the same
-    (z, t, N) share one computation."""
-    n_table = neumann_scaled_table(t, N + 2)
-    z_table = _log_reduced_j_table(z, N) if z != 0.0 else None
-    t_table = _log_reduced_j_table(t, N + 1)
-    n_terms: dict[int, float] = {}
-    j_terms: dict[int, float] = {}
-    for n in range(-N, N + 1):
-        jf = _reduced_j_signlog(n, z, z_table)
-        n_terms[n] = _combine(jf, _tn_neumann_signlog(n - 1, t, n_table))
-        j_terms[n] = _combine(jf, _tn_j_signlog(n - 1, t, t_table))
-    return MappingProxyType(n_terms), MappingProxyType(j_terms)
+def _bilinear_sums(z: float, t: float, N: int):
+    """What EQ11 and EQ9 report at (z, t, N): the partial sums of the N-weighted
+    and of the J-weighted series, and the tail fit (alpha, tail) of the
+    N-weighted terms.  Memoised, so EQ9 and EQ11 at the same (z, t, N) share
+    one computation; the values are tuples, so no caller can change them.
+
+    Term n is [J_n(z)/z^n] t^p C_p(t), p = n - 1, with C = N or J.
+    """
+    nt = _reflect(neumann_scaled_table(t, N + 1), -N - 1, N - 1, 0.0, -2.0 * math.log(t))
+    jt = _reflect(log_reduced_j(N + 1, t), -N - 1, N - 1, 2.0 * math.log(t), 0.0)
+    jz = _reflect(log_reduced_j(N, z), -N, N, 0.0, 2.0 * math.log(z) if z else -math.inf)
+    n_terms = _combine(jz, nt)
+    return (
+        tuple(_symmetric_partials(n_terms, N)),
+        tuple(_symmetric_partials(_combine(jz, jt), N)),
+        _tail_fit(n_terms, N),
+    )
 
 
-def check_eq11(z: float, t: float, N: int = 200, tol: float = 5e-3) -> IdentityReport:
-    """sum_n [J_n(z)/z^n] t^(n-1) N_(n-1)(t) against (2/pi)/(t^2 - z^2), 0 <= z < t."""
+def _bilinear_prelude(z: float, t: float, N: int) -> tuple[float, str]:
+    """Validate a bilinear check's inputs; return its target and notes."""
     if N < 10:
         raise ValueError("N must be >= 10")
     if z < 0:
@@ -218,16 +196,18 @@ def check_eq11(z: float, t: float, N: int = 200, tol: float = 5e-3) -> IdentityR
     notes = ""
     if z > t:
         notes = "outside the validated convergence region 0 <= z < t; reported, not asserted"
-    n_terms, _ = _bilinear_terms(z, t, N)
-    partials = _symmetric_partials(n_terms, N)
-    target = (2.0 / math.pi) / (t * t - z * z)
-    residual = abs(partials[-1] - target)
-    alpha, tail = _tail_fit(n_terms, N)
+    return (2.0 / math.pi) / (t * t - z * z), notes
+
+
+def check_eq11(z: float, t: float, N: int = 200, tol: float = 5e-3) -> IdentityReport:
+    """sum_n [J_n(z)/z^n] t^(n-1) N_(n-1)(t) against (2/pi)/(t^2 - z^2), 0 <= z < t."""
+    target, notes = _bilinear_prelude(z, t, N)
+    partials, _, (alpha, tail) = _bilinear_sums(z, t, N)
     return _report(
         "EQ11_SUM",
         {"z": z, "t": t, "N": N},
-        partials,
-        residual,
+        list(partials),
+        abs(partials[-1] - target),
         tail,
         tol,
         details={"target": target, "tail_exponent": alpha},
@@ -238,26 +218,14 @@ def check_eq11(z: float, t: float, N: int = 200, tol: float = 5e-3) -> IdentityR
 def check_eq9_real(z: float, t: float, N: int = 200, tol: float = 5e-3) -> IdentityReport:
     """Real/imaginary split of the Hankel-weighted sum: the J-weighted part must
     vanish and the N-weighted part must reproduce the EQ11 sum."""
-    if N < 10:
-        raise ValueError("N must be >= 10")
-    if z < 0:
-        raise ValueError("z must be >= 0")
-    if z == t:
-        raise ValueError("singular input: z == t")
-    notes = ""
-    if z > t:
-        notes = "outside the validated convergence region 0 <= z < t; reported, not asserted"
-    n_terms, j_terms = _bilinear_terms(z, t, N)
-    j_partials = _symmetric_partials(j_terms, N)
-    n_partials = _symmetric_partials(n_terms, N)
-    target = (2.0 / math.pi) / (t * t - z * z)
+    target, notes = _bilinear_prelude(z, t, N)
+    n_partials, j_partials, (alpha, tail) = _bilinear_sums(z, t, N)
     j_resid = abs(j_partials[-1])
     n_resid = abs(n_partials[-1] - target)
-    alpha, tail = _tail_fit(n_terms, N)
     return _report(
         "EQ9_REAL",
         {"z": z, "t": t, "N": N},
-        j_partials,
+        list(j_partials),
         max(j_resid, n_resid),
         tail,
         tol,
@@ -291,12 +259,8 @@ def _lambda_entry(series: LogPowerSeries, variant: str, M: int, j: int, sign: in
 def _digamma_target_series(n: int, K: int) -> LogPowerSeries:
     """Closed form of the first-order coefficient series for the reduced family:
     c_k(n) * (-psi(n+k+1) - log 2) on u^k."""
-    ln2 = math.log(2.0)
-    terms = {}
-    for k in range(K + 1):
-        c = (-1.0) ** k / (math.factorial(k) * math.factorial(n + k) * 2.0 ** (n + k))
-        terms[(k, 0)] = c * (-digamma(n + k + 1.0) - ln2)
-    return LogPowerSeries("u-of-z", terms, K)
+    coefficients = itertools.islice(_reduced_j_lambda1_coefficients(n), K + 1)
+    return LogPowerSeries("u-of-z", {(k, 0): a for k, a in enumerate(coefficients)}, K)
 
 
 def check_eq3prime_order(

@@ -136,25 +136,25 @@ def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
     return EvalResult(val, err, nodes)
 
 
-def _symmetric_partials(terms: dict[int, float], N: int) -> list[float]:
-    s = terms[0]
-    out = [s]
-    for k in range(1, N + 1):
-        s += terms[k] + terms[-k]
-        out.append(s)
-    return out
+def _symmetric_partials(terms: np.ndarray, N: int) -> list[float]:
+    """S_k = term_0 + sum_{m=1..k} (term_m + term_-m) for k = 0..N; ``terms[n + N]``
+    is the term of index n.  np.cumsum adds in order, so each S_k has the bits of a
+    running sum."""
+    pairs = terms[N + 1 :] + terms[N - 1 :: -1]
+    return np.cumsum(np.concatenate((terms[N : N + 1], pairs))).tolist()
 
 
-def _tail_fit(terms: dict[int, float], N: int) -> tuple[float, float]:
-    """Fit |pair_k| ~ C / k^alpha over the last decade; return (alpha, tail estimate)."""
-    ks, ps = [], []
-    for k in range(max(2, N // 10), N + 1):
-        pk = abs(terms[k] + terms.get(-k, 0.0))
-        if 0.0 < pk < math.inf:
-            ks.append(math.log(k))
-            ps.append(math.log(pk))
-    if len(ks) < 3:
+def _tail_fit(terms: np.ndarray, N: int) -> tuple[float, float]:
+    """Fit |term_k + term_-k| ~ C / k^alpha over the last decade; return (alpha,
+    tail estimate).  ``terms`` is indexed as for :func:`_symmetric_partials`."""
+    k = np.arange(max(2, N // 10), N + 1)
+    pk = np.abs(terms[N + k] + terms[N - k])
+    keep = (pk > 0.0) & (pk < math.inf)
+    if np.count_nonzero(keep) < 3:
         return float("nan"), float("nan")
+    # libm log per element: np.log differs from it by an ulp at some arguments
+    ks = [math.log(v) for v in k[keep].tolist()]
+    ps = [math.log(v) for v in pk[keep].tolist()]
     slope, intercept = np.polyfit(ks, ps, 1)
     alpha = -float(slope)
     c = math.exp(float(intercept))
@@ -183,13 +183,13 @@ def bilinear_check(pair: GeneratingPair, z: float, t: float, N: int) -> dict:
         raise ValueError("N must be >= 1")
     if z == t:
         raise ValueError("singular input: z == t")
-    terms: dict[int, float] = {}
+    terms = np.empty(2 * N + 1)
     effort = 0
     noise = 0.0
     for n in range(-N, N + 1):
         zr = z_function(pair, n, z)
         ar = a_function(pair, n, t)
-        terms[n] = (zr.value * ar.value).real
+        terms[n + N] = (zr.value * ar.value).real
         noise += zr.err_estimate * abs(ar.value) + abs(zr.value) * ar.err_estimate
         effort += zr.effort + ar.effort
     partials = _symmetric_partials(terms, N)

@@ -10,6 +10,9 @@ The evaluators are deliberately series/quadrature based and self-contained:
 * ``k_bessel`` / ``k_integral`` -- one half-line trapezoid after an
   exponential substitution that makes the integrand decay
   double-exponentially at both ends, with node doubling until stabilization.
+* ``log_reduced_j`` / ``neumann_scaled_table`` -- (signs, logs) arrays of
+  J_m(z)/z^m and t^m N_m(t) for every order m = 0..max, for sums whose
+  factors overflow or underflow double precision.
 
 The intended working range is desk scale: arguments in (0, 20], orders in
 [-10, 10].  No asymptotic large-argument machinery is included.
@@ -21,8 +24,11 @@ in u = z**2/2 (tag "u-of-z") or u = t**2/2 (tag "u-of-t").
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .logseries import LogPowerSeries
 
@@ -383,17 +389,30 @@ def k_integral(n: int, t: float) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
+def _bessel_coefficients(n: int):
+    """c_k(n) = (-1)^k / (k! (n+k)! 2^(n+k)) for k = 0, 1, 2, ...: the u^k
+    coefficients of J_n(z)/z^n, u = z^2/2.  The t^n J_n(t) coefficients are
+    c_k(n) 2^n, which is exact."""
+    for k in itertools.count():
+        yield (-1.0) ** k / (math.factorial(k) * math.factorial(n + k) * 2.0 ** (n + k))
+
+
+def _reduced_j_lambda1_coefficients(n: int):
+    """c_k(n) (-psi(n+k+1) - log 2) for k = 0, 1, 2, ...: the u^k coefficients
+    of d/dlam [J_(n+lam)(z)/z^(n+lam)] at lam = 0."""
+    ln2 = math.log(2.0)
+    for k, c in enumerate(_bessel_coefficients(n)):
+        yield c * (-digamma(n + k + 1.0) - ln2)
+
+
 def reduced_j_series(n: int, K: int) -> LogPowerSeries:
     """J_n(z)/z^n as a pure power series in u = z^2/2; coefficient of u^k is
-    (-1)^k / (k! (n+k)! 2^(n+k))."""
+    c_k(n) = (-1)^k / (k! (n+k)! 2^(n+k))."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if K < n + 2:
         raise ValueError(f"K = {K} too small; need K >= n + 2 = {n + 2}")
-    terms = {
-        (k, 0): (-1.0) ** k / (math.factorial(k) * math.factorial(n + k) * 2.0 ** (n + k))
-        for k in range(K + 1)
-    }
+    terms = {(k, 0): c for k, c in enumerate(itertools.islice(_bessel_coefficients(n), K + 1))}
     return LogPowerSeries("u-of-z", terms, K)
 
 
@@ -403,10 +422,9 @@ def bessel_t_series(n: int, K: int) -> LogPowerSeries:
         raise ValueError("n must be >= 0")
     if K < n + 2:
         raise ValueError(f"K = {K} too small; need K >= n + 2 = {n + 2}")
-    terms = {
-        (n + k, 0): (-1.0) ** k * 2.0 ** (-k) / (math.factorial(k) * math.factorial(n + k))
-        for k in range(K - n + 1)
-    }
+    scale = 2.0**n
+    cs = itertools.islice(_bessel_coefficients(n), K - n + 1)
+    terms = {(n + k, 0): c * scale for k, c in enumerate(cs)}
     return LogPowerSeries("u-of-t", terms, K)
 
 
@@ -427,17 +445,17 @@ def neumann_t_series(n: int, K: int) -> LogPowerSeries:
         terms[(k, j)] = terms.get((k, j), 0.0) + v
 
     ln2 = math.log(2.0)
+    scale = 2.0**n
+    cs = [c * scale for c in itertools.islice(_bessel_coefficients(n), K - n + 1)]
     # (2/pi) log(t/2) t^n J_n(t)
-    for k in range(K - n + 1):
-        c = (-1.0) ** k * 2.0 ** (-k) / (math.factorial(k) * math.factorial(n + k))
+    for k, c in enumerate(cs):
         bump(n + k, 1, (1.0 / math.pi) * c)
         bump(n + k, 0, -(ln2 / math.pi) * c)
     # -(1/pi) sum_{k<n} (n-k-1)!/k! (t/2)^(2k-n) t^n  =  -(1/pi) (n-k-1)!/k! 2^(n-k) u^k
     for k in range(n):
         bump(k, 0, -(math.factorial(n - k - 1) / math.factorial(k)) * 2.0 ** (n - k) / math.pi)
     # -(1/pi) sum_k (-1)^k [psi(k+1)+psi(n+k+1)] (t/2)^(n+2k) t^n / (k!(n+k)!)
-    for k in range(K - n + 1):
-        c = (-1.0) ** k * 2.0 ** (-k) / (math.factorial(k) * math.factorial(n + k))
+    for k, c in enumerate(cs):
         bump(n + k, 0, -(digamma(k + 1.0) + digamma(n + k + 1.0)) * c / math.pi)
     return LogPowerSeries("u-of-t", terms, K)
 
@@ -476,11 +494,9 @@ def _reduced_j_lambda1_analytic(n: int, z: float) -> float:
     """Coefficient route for d/dlam [J_(n+lam)(z)/z^(n+lam)] at lam = 0:
     sum_k c_k(n) (-psi(n+k+1) - log 2) u^k."""
     u = 0.5 * z * z
-    ln2 = math.log(2.0)
     total = 0.0
-    for k in range(_SERIES_LIMIT):
-        c = (-1.0) ** k / (math.factorial(k) * math.factorial(n + k) * 2.0 ** (n + k))
-        term = c * (-digamma(n + k + 1.0) - ln2) * u**k
+    for k, a in zip(range(_SERIES_LIMIT), _reduced_j_lambda1_coefficients(n)):
+        term = a * u**k
         total += term
         if k > 2 and abs(term) < 1e-17 * abs(total) + 1e-300:
             break
@@ -530,31 +546,43 @@ def lambda_taylor_target(family: str, n: int, j: int, probe: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def log_reduced_j(n: int, z: float) -> tuple[float, float]:
-    """(sign, log|J_n(z)/z^n|) for integer n >= 0, z >= 0, stable to n ~ hundreds.
+def log_reduced_j(nmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, logs) of J_m(z)/z^m for m = 0..nmax, z >= 0, stable to m ~ hundreds.
 
-    J_n(z)/z^n = 2^(-n)/n! * S with S a fast-converging hypergeometric bracket.
+    J_m(z)/z^m = 2^(-m)/m! * S_m with S_m a fast-converging hypergeometric
+    bracket.  All m are summed together, one lane each; a lane stops on its
+    own convergence test, so its value does not depend on nmax.  z = 0 takes
+    the same path (S_m = 1).  A zero bracket reads (1.0, -inf).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
     if z < 0:
         raise ValueError("z must be >= 0")
     u = 0.5 * z * z
-    s = 1.0
-    term = 1.0
+    order = np.arange(nmax + 1, dtype=float)
+    s = np.ones(nmax + 1)
+    term = np.ones(nmax + 1)
+    live = np.arange(nmax + 1)
     for k in range(1, _SERIES_LIMIT):
-        term *= -(0.5 * u) / (k * (n + k))
-        s += term
-        if abs(term) < 1e-18 * abs(s) + 1e-300:
+        term[live] *= -(0.5 * u) / (k * (order[live] + k))
+        s[live] += term[live]
+        # a lane stops where the scalar loop would break; one whose test is not
+        # true (NaN included) goes on, as the scalar loop does
+        live = live[~(np.abs(term[live]) < 1e-18 * np.abs(s[live]) + 1e-300)]
+        if not live.size:
             break
-    if s == 0.0:
-        return 1.0, -math.inf
-    return math.copysign(1.0, s), -n * math.log(2.0) - math.lgamma(n + 1.0) + math.log(abs(s))
+    ln2 = math.log(2.0)
+    logs = [
+        -m * ln2 - math.lgamma(m + 1.0) + math.log(abs(v)) if v else -math.inf
+        for m, v in enumerate(s.tolist())
+    ]
+    return np.where(s < 0, -1.0, 1.0), np.array(logs)
 
 
-def neumann_scaled_table(t: float, pmax: int) -> list[tuple[float, float]]:
-    """(sign, log|t^p N_p(t)|) for p = 0..pmax by the scaled upward recurrence
-    G_{p+1} = 2p G_p - t^2 G_{p-1}, which is forward-stable for the N family."""
+def neumann_scaled_table(t: float, pmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, logs) of t^p N_p(t) for p = 0..pmax by the scaled upward recurrence
+    G_{p+1} = 2p G_p - t^2 G_{p-1}, which is forward-stable for the N family.
+    A zero value reads (1.0, -inf)."""
     if t <= 0:
         raise ValueError("t must be positive")
     if pmax < 1:
@@ -570,10 +598,7 @@ def neumann_scaled_table(t: float, pmax: int) -> list[tuple[float, float]]:
         m, e = math.frexp(v)
         mants.append(m)
         exps.append(e + exps[p - 1])
-    out = []
-    for m, e in zip(mants, exps):
-        if m == 0.0:
-            out.append((1.0, -math.inf))
-        else:
-            out.append((math.copysign(1.0, m), math.log(abs(m)) + e * math.log(2.0)))
-    return out
+    logs = [
+        math.log(abs(m)) + e * math.log(2.0) if m else -math.inf for m, e in zip(mants, exps)
+    ]
+    return np.where(np.array(mants) < 0, -1.0, 1.0), np.array(logs)

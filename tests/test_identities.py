@@ -23,13 +23,7 @@ from besselmap import (
     neumann_t_series,
     run_suite,
 )
-from besselmap.identities import (
-    _bilinear_terms,
-    _log_reduced_j_table,
-    _reduced_j_signlog,
-    _tn_j_signlog,
-    _tn_neumann_signlog,
-)
+from besselmap.identities import _bilinear_sums, _reflect
 from besselmap.specfun import log_reduced_j, neumann_scaled_table
 
 
@@ -41,44 +35,132 @@ from besselmap.specfun import log_reduced_j, neumann_scaled_table
 @pytest.mark.parametrize("n", range(-5, 6))
 def test_signlog_factors_match_direct(n):
     z, t = 0.7, 2.0
-    table = neumann_scaled_table(t, 10)
-    s, l = _reduced_j_signlog(n, z, _log_reduced_j_table(z, 5))
+    i = n + 5  # row of n in factors over -5..5
+    s, l = _reflect(log_reduced_j(5, z), -5, 5, 0.0, 2.0 * math.log(z))
     want = float(sp.jv(n, z)) / z**n
-    assert s * math.exp(l) == pytest.approx(want, rel=1e-10)
-    s, l = _tn_j_signlog(n, t, _log_reduced_j_table(t, 5))
-    assert s * math.exp(l) == pytest.approx(t**n * float(sp.jv(n, t)), rel=1e-10)
-    s, l = _tn_neumann_signlog(n, t, table)
-    assert s * math.exp(l) == pytest.approx(t**n * float(sp.yv(n, t)), rel=1e-9)
+    assert s[i] * math.exp(l[i]) == pytest.approx(want, rel=1e-10)
+    s, l = _reflect(log_reduced_j(5, t), -5, 5, 2.0 * math.log(t), 0.0)
+    assert s[i] * math.exp(l[i]) == pytest.approx(t**n * float(sp.jv(n, t)), rel=1e-10)
+    s, l = _reflect(neumann_scaled_table(t, 10), -5, 5, 0.0, -2.0 * math.log(t))
+    assert s[i] * math.exp(l[i]) == pytest.approx(t**n * float(sp.yv(n, t)), rel=1e-9)
+
+
+def _scalar_log_reduced_j(n, z):
+    """Reference: (sign, log|J_n(z)/z^n|) by the bracket, one order at a time."""
+    u = 0.5 * z * z
+    s = 1.0
+    term = 1.0
+    for k in range(1, 600):
+        term *= -(0.5 * u) / (k * (n + k))
+        s += term
+        if abs(term) < 1e-18 * abs(s) + 1e-300:
+            break
+    if s == 0.0:
+        return 1.0, -math.inf
+    return math.copysign(1.0, s), -n * math.log(2.0) - math.lgamma(n + 1.0) + math.log(abs(s))
+
+
+def _pairs(table):
+    return list(zip(*(a.tolist() for a in table)))
 
 
 @pytest.mark.parametrize("x", [0.3, 2.0, 7.5])
 def test_signlog_tables_match_scalar_factors(x):
-    """The |n|-indexed tables give the same bits as the per-n scalar calls,
+    """The lane-wise table gives the same bits as the per-order scalar bracket,
     and a longer table gives the same factors as the shortest one."""
-    table = _log_reduced_j_table(x, 40)
-    assert table == [log_reduced_j(m, x) for m in range(41)]
-    for n in range(-40, 41):
-        shortest = _log_reduced_j_table(x, abs(n))
-        assert _reduced_j_signlog(n, x, table) == _reduced_j_signlog(n, x, shortest)
-        assert _tn_j_signlog(n, x, table) == _tn_j_signlog(n, x, shortest)
+    table = log_reduced_j(40, x)
+    assert _pairs(table) == [_scalar_log_reduced_j(m, x) for m in range(41)]
+    for m in range(41):
+        shortest = log_reduced_j(m, x)
+        assert _pairs(shortest) == _pairs(table)[: m + 1]
+        for slopes in ((0.0, 2.0 * math.log(x)), (2.0 * math.log(x), 0.0)):
+            assert _pairs(_reflect(table, -m, m, *slopes)) == _pairs(
+                _reflect(shortest, -m, m, *slopes)
+            )
 
 
 def test_bilinear_terms_shared_between_eq9_and_eq11():
-    _bilinear_terms.cache_clear()
-    check_eq11(0.4, 1.7, N=60)
-    check_eq9_real(0.4, 1.7, N=60)
-    info = _bilinear_terms.cache_info()
+    _bilinear_sums.cache_clear()
+    rep11 = check_eq11(0.4, 1.7, N=60)
+    rep9 = check_eq9_real(0.4, 1.7, N=60)
+    info = _bilinear_sums.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert info.currsize <= info.maxsize
-    n_terms, _ = _bilinear_terms(0.4, 1.7, 60)
+    n_partials, j_partials, _ = _bilinear_sums(0.4, 1.7, 60)
     with pytest.raises(TypeError):
-        n_terms[0] = 0.0  # every caller sees the same read-only terms
+        n_partials[0] = 0.0  # every caller sees the same read-only sums
+    # each report owns its list: changing one leaves the next report as it was
+    rep11.observed[0] = rep9.observed[0] = 99.0
+    assert check_eq11(0.4, 1.7, N=60).observed == list(n_partials)
+    assert check_eq9_real(0.4, 1.7, N=60).observed == list(j_partials)
 
 
 def test_signlog_at_z_zero():
-    # at z = 0 the factors are closed forms; the table is not consulted
-    assert _reduced_j_signlog(3, 0.0, None) == (1.0, -3 * math.log(2.0) - math.lgamma(4.0))
-    assert _reduced_j_signlog(-2, 0.0, None)[1] == -math.inf
+    # at z = 0 the bracket is 1: the factors are closed forms
+    signs, logs = log_reduced_j(3, 0.0)
+    assert (signs[3], logs[3]) == (1.0, -3 * math.log(2.0) - math.lgamma(4.0))
+    assert _reflect((signs, logs), -2, 2, 0.0, -math.inf)[1][0] == -math.inf
+
+
+def _scalar_bilinear_partials(z, t, N):
+    """Reference: EQ11 and EQ9 partial sums, one term at a time from the scalar
+    bracket, the sign/log product of each n, and an in-order running sum."""
+    n_signs, n_logs = neumann_scaled_table(t, N + 1)
+
+    def reduced_j(n):
+        m = abs(n)
+        s, l = _scalar_log_reduced_j(m, z)
+        if n >= 0:
+            return s, l
+        if z == 0.0:
+            return 1.0, -math.inf
+        return s * (-1.0) ** (m % 2), l + 2.0 * m * math.log(z)
+
+    def tn_neumann(p):
+        q = abs(p)
+        s, l = float(n_signs[q]), float(n_logs[q])
+        if p >= 0:
+            return s, l
+        return s * (-1.0) ** (q % 2), l - 2.0 * q * math.log(t)
+
+    def tn_j(p):
+        q = abs(p)
+        s, l = _scalar_log_reduced_j(q, t)
+        if p >= 0:
+            return s, l + 2.0 * p * math.log(t)
+        return s * (-1.0) ** (q % 2), l
+
+    def product(a, b):
+        lg = a[1] + b[1]
+        if lg == -math.inf:
+            return 0.0
+        if lg > 700.0:
+            return a[0] * b[0] * math.inf
+        return a[0] * b[0] * math.exp(lg)
+
+    def partials(terms):
+        s = terms[0]
+        out = [s]
+        for k in range(1, N + 1):
+            s += terms[k] + terms[-k]
+            out.append(s)
+        return out
+
+    n_terms = {n: product(reduced_j(n), tn_neumann(n - 1)) for n in range(-N, N + 1)}
+    j_terms = {n: product(reduced_j(n), tn_j(n - 1)) for n in range(-N, N + 1)}
+    return partials(n_terms), partials(j_terms)
+
+
+@pytest.mark.parametrize(
+    "z,t,N", [(0.0, 2.0, 200), (0.5, 2.0, 200), (1.0, 3.0, 200), (2.5, 2.0, 50), (0.4, 1.7, 10)]
+)
+def test_bilinear_partials_match_termwise_reference(z, t, N):
+    n_want, j_want = _scalar_bilinear_partials(z, t, N)
+    rep11 = check_eq11(z, t, N)
+    rep9 = check_eq9_real(z, t, N)
+    assert [v.hex() for v in rep11.observed] == [v.hex() for v in n_want]
+    assert [v.hex() for v in rep9.observed] == [v.hex() for v in j_want]
+    assert rep9.details["n_part_value"] == n_want[-1]
 
 
 # ---------------------------------------------------------------------------
