@@ -46,7 +46,6 @@ from .specfun import (
     hankel,
     hankel_t_series,
     k_bessel,
-    k_integral,
     lambda_taylor_target,
     neumann,
     neumann_log_series,
@@ -85,7 +84,6 @@ __all__ = [
     "hankel",
     "hankel_t_series",
     "k_bessel",
-    "k_integral",
     "kernel_identity_check",
     "lambda_coefficients",
     "lambda_taylor_target",

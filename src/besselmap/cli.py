@@ -5,7 +5,9 @@ Commands
 eval    evaluate a reference function (J, N, H1, H2, K) at an order and argument
 series  print a series object (reducedJ, J, N, H1, H2) as term records
 map     apply the truncated exponential map to a series and print the result
-check   run one named identity checker
+check   run one named identity checker; options left unset take the
+        checker's own defaults, and options the identity does not take are
+        ignored
 suite   run the full identity battery; exit 0 only if every verdict passes
 
 Reports serialize as JSON (schema 1), CSV, or text.  Output is fully
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import re
@@ -90,25 +93,22 @@ def _to_text(payload) -> str:
     return "\n".join(lines) + "\n"
 
 
+# --fn -> evaluator of (order, arg, pair name).  Z and A are the generating
+# pair's functions; their order is the integer index n.
+_EVALUATORS = {
+    "J": lambda nu, x, pair: specfun.bessel_j(nu, x),
+    "N": lambda nu, x, pair: specfun.neumann(nu, x),
+    "H1": lambda nu, x, pair: specfun.hankel(1, nu, x),
+    "H2": lambda nu, x, pair: specfun.hankel(2, nu, x),
+    "K": lambda nu, x, pair: specfun.k_bessel(nu, x),
+    "Z": lambda nu, x, pair: sonine.z_function(sonine.PAIRS[pair](), int(nu), x),
+    "A": lambda nu, x, pair: sonine.a_function(sonine.PAIRS[pair](), int(nu), x),
+}
+
+
 def _cmd_eval(args) -> tuple[object, int]:
     fn = args.fn
-    if fn == "J":
-        r = specfun.bessel_j(args.order, args.arg)
-    elif fn == "N":
-        r = specfun.neumann(args.order, args.arg)
-    elif fn == "H1":
-        r = specfun.hankel(1, args.order, args.arg)
-    elif fn == "H2":
-        r = specfun.hankel(2, args.order, args.arg)
-    elif fn == "K":
-        r = specfun.k_bessel(args.order, args.arg)
-    elif fn in ("Z", "A"):
-        # generating-pair functions; the order is the integer index n
-        pair = sonine.PAIRS[args.pair]()
-        n = int(args.order)
-        r = (sonine.z_function if fn == "Z" else sonine.a_function)(pair, n, args.arg)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(fn)
+    r = _EVALUATORS[fn](args.order, args.arg, args.pair)
     value = complex(r.value)
     payload = {
         "schema": 1,
@@ -157,21 +157,13 @@ def _cmd_map(args) -> tuple[object, int]:
     return payload, 0
 
 
-_CHECKS = {
-    "EQ11_SUM": lambda a: identities.check_eq11(a.z, a.t, a.N),
-    "EQ9_REAL": lambda a: identities.check_eq9_real(a.z, a.t, a.N),
-    "EQ3P_ORDER_J": lambda a: identities.check_eq3prime_order(a.n, a.j, a.K, a.M),
-    "EQ15_ORDER_J": lambda a: identities.check_eq15_order(a.n, a.j, a.K, a.M, tuple(a.probes)),
-    "EQ18_ORDER_J": lambda a: identities.check_eq18_order(a.kind, a.n, a.j, a.K, a.M, tuple(a.probes)),
-    "EQ17_SHIFT": lambda a: identities.check_integer_shift(a.n, a.K, a.M, tuple(a.jmax_list), a.t),
-    "EQ2_ROUNDTRIP": lambda a: identities.check_eq2_roundtrip(),
-    "EQ3_CLOSURE": lambda a: identities.check_eq3_closure(),
-    "EQ14_KERNEL": lambda a: identities.check_eq14_kernel(),
-}
-
-
 def _cmd_check(args) -> tuple[object, int]:
-    report: IdentityReport = _CHECKS[args.id](args)
+    """Call the checker with the options that were set and that it takes; the
+    check options have no parser defaults, so unset ones are absent."""
+    checker = identities.CHECKERS[args.id]
+    takes = inspect.signature(checker).parameters
+    given = {k: tuple(v) if isinstance(v, list) else v for k, v in vars(args).items() if k in takes}
+    report: IdentityReport = checker(**given)
     return report.to_record(), 0 if report.verdict == "pass" else 1
 
 
@@ -189,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate a reference function")
-    pe.add_argument("--fn", required=True, choices=("J", "N", "H1", "H2", "K", "Z", "A"))
+    pe.add_argument("--fn", required=True, choices=_EVALUATORS)
     pe.add_argument("--order", type=float, required=True)
     pe.add_argument("--arg", type=float, required=True)
     pe.add_argument("--pair", choices=sorted(sonine.PAIRS), default="bessel",
@@ -213,18 +205,18 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--sign", type=int, choices=(1, -1), default=1)
     pm.set_defaults(run=_cmd_map)
 
-    pc = sub.add_parser("check", help="run one identity checker")
-    pc.add_argument("--id", required=True, choices=sorted(_CHECKS))
-    pc.add_argument("--z", type=float, default=0.5)
-    pc.add_argument("--t", type=float, default=2.0)
-    pc.add_argument("--N", type=int, default=200)
-    pc.add_argument("--n", type=int, default=0)
-    pc.add_argument("--j", type=int, default=1)
-    pc.add_argument("--K", type=int, default=16)
-    pc.add_argument("--M", type=int, default=12)
-    pc.add_argument("--kind", type=int, choices=(1, 2), default=1)
-    pc.add_argument("--probes", type=float, nargs="+", default=[0.5, 1.0, 2.0])
-    pc.add_argument("--jmax-list", dest="jmax_list", type=int, nargs="+", default=[2, 4, 6, 8])
+    pc = sub.add_parser("check", help="run one identity checker", argument_default=argparse.SUPPRESS)
+    pc.add_argument("--id", required=True, choices=sorted(identities.IDENTITY_IDS))
+    pc.add_argument("--z", type=float)
+    pc.add_argument("--t", type=float)
+    pc.add_argument("--N", type=int)
+    pc.add_argument("--n", type=int)
+    pc.add_argument("--j", type=int)
+    pc.add_argument("--K", type=int)
+    pc.add_argument("--M", type=int)
+    pc.add_argument("--kind", type=int, choices=(1, 2))
+    pc.add_argument("--probes", type=float, nargs="+")
+    pc.add_argument("--jmax-list", dest="J_max_list", type=int, nargs="+")
     pc.set_defaults(run=_cmd_check)
 
     pu = sub.add_parser("suite", help="run the full identity battery")

@@ -21,6 +21,12 @@ the real-order functions.  The reports state what was computed so the
 behaviour is auditable rather than hidden.
 
 EQ2_ROUNDTRIP, EQ3_CLOSURE and EQ14_KERNEL are definitional guards.
+
+Each identity has one definition: its checker.  The checker's defaults are
+the identity's defaults and its tolerance is a literal in its body; a
+report's verdict is derived from its residual and tolerance.  ``CHECKERS``
+maps every identity id to its checker; the CLI's ``check`` command calls
+the checker with only the options the user set.
 """
 
 from __future__ import annotations
@@ -68,21 +74,9 @@ __all__ = [
     "check_eq2_roundtrip",
     "check_eq3_closure",
     "check_eq14_kernel",
+    "CHECKERS",
     "run_suite",
 ]
-
-IDENTITY_IDS = (
-    "EQ2_ROUNDTRIP",
-    "EQ3_CLOSURE",
-    "EQ3P_ORDER_J",
-    "EQ9_REAL",
-    "EQ11_SUM",
-    "EQ14_KERNEL",
-    "EQ15_ORDER_J",
-    "EQ17_SHIFT",
-    "EQ18_ORDER_J",
-)
-
 
 class ReliableOrderExhausted(ValueError):
     """K_trunc is too small for the requested comparison depth."""
@@ -96,7 +90,6 @@ class IdentityReport:
     residual: float
     tail_estimate: float
     tolerance: float
-    verdict: str
     details: dict = field(default_factory=dict)
     notes: str = ""
 
@@ -105,9 +98,10 @@ class IdentityReport:
             raise ValueError(f"unknown identity_id {self.identity_id!r}")
         if not (self.residual >= 0 or math.isnan(self.residual)):
             raise ValueError("residual must be >= 0")
-        want = "pass" if self.residual <= self.tolerance else "fail"
-        if self.verdict != want:
-            raise ValueError("verdict inconsistent with residual/tolerance")
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.residual <= self.tolerance else "fail"
 
     def to_record(self) -> dict:
         return {
@@ -122,20 +116,6 @@ class IdentityReport:
             "details": self.details,
             "notes": self.notes,
         }
-
-
-def _report(identity_id, params, observed, residual, tail, tol, details=None, notes=""):
-    return IdentityReport(
-        identity_id=identity_id,
-        params=params,
-        observed=observed,
-        residual=residual,
-        tail_estimate=tail,
-        tolerance=tol,
-        verdict="pass" if residual <= tol else "fail",
-        details=details or {},
-        notes=notes,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -199,36 +179,36 @@ def _bilinear_prelude(z: float, t: float, N: int) -> tuple[float, str]:
     return (2.0 / math.pi) / (t * t - z * z), notes
 
 
-def check_eq11(z: float, t: float, N: int = 200, tol: float = 5e-3) -> IdentityReport:
+def check_eq11(z: float = 0.5, t: float = 2.0, N: int = 200) -> IdentityReport:
     """sum_n [J_n(z)/z^n] t^(n-1) N_(n-1)(t) against (2/pi)/(t^2 - z^2), 0 <= z < t."""
     target, notes = _bilinear_prelude(z, t, N)
     partials, _, (alpha, tail) = _bilinear_sums(z, t, N)
-    return _report(
+    return IdentityReport(
         "EQ11_SUM",
         {"z": z, "t": t, "N": N},
         list(partials),
         abs(partials[-1] - target),
         tail,
-        tol,
+        5e-3,
         details={"target": target, "tail_exponent": alpha},
         notes=notes,
     )
 
 
-def check_eq9_real(z: float, t: float, N: int = 200, tol: float = 5e-3) -> IdentityReport:
+def check_eq9_real(z: float = 0.5, t: float = 2.0, N: int = 200) -> IdentityReport:
     """Real/imaginary split of the Hankel-weighted sum: the J-weighted part must
     vanish and the N-weighted part must reproduce the EQ11 sum."""
     target, notes = _bilinear_prelude(z, t, N)
     n_partials, j_partials, (alpha, tail) = _bilinear_sums(z, t, N)
     j_resid = abs(j_partials[-1])
     n_resid = abs(n_partials[-1] - target)
-    return _report(
+    return IdentityReport(
         "EQ9_REAL",
         {"z": z, "t": t, "N": N},
         list(j_partials),
         max(j_resid, n_resid),
         tail,
-        tol,
+        5e-3,
         details={
             "j_part_residual": j_resid,
             "n_part_residual": n_resid,
@@ -248,6 +228,8 @@ _DEFAULT_PROBES = (0.5, 1.0, 2.0)
 
 
 def _lambda_entry(series: LogPowerSeries, variant: str, M: int, j: int, sign: int):
+    if j not in (1, 2):
+        raise ValueError("j must be 1 or 2")
     if series.K_trunc - j * M < 0:
         raise ReliableOrderExhausted(
             f"K = {series.K_trunc} cannot support {j} Sigma applications at window M = {M}"
@@ -263,23 +245,23 @@ def _digamma_target_series(n: int, K: int) -> LogPowerSeries:
     return LogPowerSeries("u-of-z", {(k, 0): a for k, a in enumerate(coefficients)}, K)
 
 
-def check_eq3prime_order(
-    n: int, j: int, K: int = 16, M: int = 12, tol: float | None = None
-) -> IdentityReport:
+def _probe_distances(entry: LogPowerSeries, family: str, n: int, j: int, probes) -> list:
+    """|entry(u) - lam^j Taylor coefficient of the family at order n| at each
+    probe, u = probe^2 / 2."""
+    return [abs(entry.evaluate(0.5 * p * p) - lambda_taylor_target(family, n, j, p)) for p in probes]
+
+
+def check_eq3prime_order(n: int = 0, j: int = 1, K: int = 16, M: int = 12) -> IdentityReport:
     """lam^j coefficient of the mapped reduced series against its real-order target.
 
     j = 1 compares coefficientwise against the digamma closed form over the
     reliable powers; j = 2 compares evaluations at z in {0.5, 1, 2} against
     Richardson finite differences.
     """
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
     if K < 8:
         raise ValueError("K must be >= 8")
     if M > K:
         raise ValueError("M must be <= K")
-    if tol is None:
-        tol = 1e-10 if j == 1 else 1e-5
     entry = _lambda_entry(reduced_j_series(n, K), "z1", M, j, sign=-1)
     params = {"n": n, "j": j, "K": K, "M": M}
     if j == 1:
@@ -289,106 +271,74 @@ def check_eq3prime_order(
             abs(entry.coefficient(k, 0) - target.coefficient(k, 0)) for k in range(order + 1)
         ]
         residual = entry.compare(target, order)
-        return _report(
+        return IdentityReport(
             "EQ3P_ORDER_J",
             params,
             distances,
             residual,
             0.0,
-            tol,
+            1e-10,
             details={"compared_order": order},
         )
-    distances = []
-    for z in _DEFAULT_PROBES:
-        got = entry.evaluate(0.5 * z * z)
-        want = lambda_taylor_target("reducedJ", n, 2, z)
-        distances.append(abs(got - want))
-    return _report("EQ3P_ORDER_J", params, distances, max(distances), 0.0, tol)
+    distances = _probe_distances(entry, "reducedJ", n, 2, _DEFAULT_PROBES)
+    return IdentityReport("EQ3P_ORDER_J", params, distances, max(distances), 0.0, 1e-5)
 
 
 def check_eq15_order(
-    n: int,
-    j: int,
-    K: int = 16,
-    M: int = 12,
-    probes: tuple = _DEFAULT_PROBES,
-    tol: float | None = None,
+    n: int = 0, j: int = 1, K: int = 16, M: int = 12, probes: tuple = _DEFAULT_PROBES
 ) -> IdentityReport:
     """lam^j entry of the alternating-variant map on t^n N_n, evaluated at the
     probes, against Richardson finite differences of t^nu N_nu."""
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
     if n < 0:
         raise ValueError("n must be >= 0")
     if any(not 0.0 < t <= 4.0 for t in probes):
         raise ValueError("probes must lie in (0, 4]")
-    if tol is None:
-        tol = 1e-5 if j == 1 else 1e-4
     base = neumann_t_series(n, K)
     entry = _lambda_entry(base, "z2", M, j, sign=1)
     notes = ""
-    distances = []
     for t in probes:
-        u = 0.5 * t * t
-        base_val = base.evaluate(u)
         oracle = neumann(float(n), t).value.real * t**n
-        if abs(base_val - oracle) > 1e-6 * max(1.0, abs(oracle)):
+        if abs(base.evaluate(0.5 * t * t) - oracle) > 1e-6 * max(1.0, abs(oracle)):
             notes = f"probe t={t} outside series convergence for K={K}"
-        got = entry.evaluate(u)
-        want = lambda_taylor_target("N", n, j, t)
-        distances.append(abs(got - want))
-    return _report(
+    distances = _probe_distances(entry, "N", n, j, probes)
+    return IdentityReport(
         "EQ15_ORDER_J",
         {"n": n, "j": j, "K": K, "M": M, "probes": list(probes)},
         distances,
         max(distances),
         0.0,
-        tol,
+        1e-5 if j == 1 else 1e-4,
         notes=notes,
     )
 
 
 def check_eq18_order(
-    kind: int,
-    n: int,
-    j: int,
-    K: int = 16,
-    M: int = 12,
-    probes: tuple = _DEFAULT_PROBES,
-    tol: float = 1e-5,
+    kind: int = 1, n: int = 0, j: int = 1, K: int = 16, M: int = 12, probes: tuple = _DEFAULT_PROBES
 ) -> IdentityReport:
     """Same protocol for t^n H_n^(kind); additionally recombines the two mapped
     Hankel series through (H1 + H2)/2 and compares with the mapped t^n J_n
     series coefficientwise (the recombination residual is in details)."""
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
-    family = "H1" if kind == 1 else "H2"
     mapped = {k: _lambda_entry(hankel_t_series(k, n, K), "z2", M, j, sign=1) for k in (1, 2)}
-    entry = mapped[kind]
-    distances = []
-    for t in probes:
-        got = entry.evaluate(0.5 * t * t)
-        want = lambda_taylor_target(family, n, j, t)
-        distances.append(abs(got - want))
+    distances = _probe_distances(mapped[kind], f"H{kind}", n, j, probes)
     # closing consistency: mapped H series recombine into the mapped J series
     ej = _lambda_entry(bessel_t_series(n, K), "z2", M, j, sign=1)
     recombined = (mapped[1] + mapped[2]).scale(0.5)
     rec_residual = recombined.compare(ej, K - j * M)
-    return _report(
+    return IdentityReport(
         "EQ18_ORDER_J",
         {"kind": kind, "n": n, "j": j, "K": K, "M": M, "probes": list(probes)},
         distances,
         max(distances),
         0.0,
-        tol,
+        1e-5,
         details={"recombination_residual": rec_residual},
     )
 
 
 def check_integer_shift(
-    n: int,
+    n: int = 0,
     K: int = 16,
     M: int = 12,
     J_max_list: tuple = (2, 4, 6, 8),
@@ -420,7 +370,7 @@ def check_integer_shift(
         pass  # this order and every higher one report inf
     residuals = [by_order.get(int(jm), math.inf) for jm in J_max_list]
     tol = residuals[0] / 2.0 if residuals[0] > 0 else 0.0
-    return _report(
+    return IdentityReport(
         "EQ17_SHIFT",
         {"n": n, "K": K, "M": M, "J_max_list": list(J_max_list), "t": t},
         residuals,
@@ -440,7 +390,6 @@ def check_integer_shift(
 def check_eq2_roundtrip(
     nus: tuple = (0.3, 0.7, 1.5, 2.6),
     zs: tuple = (0.5, 1.0, 2.0),
-    tol: float = 1e-10,
 ) -> IdentityReport:
     """sin(nu pi) N_nu + J_(-nu) - cos(nu pi) J_nu = 0 for non-integer nu."""
     residuals = []
@@ -450,21 +399,17 @@ def check_eq2_roundtrip(
             jm = bessel_j(-nu, z).value.real
             nn = neumann(nu, z).value.real
             residuals.append(abs(math.sin(math.pi * nu) * nn + jm - math.cos(math.pi * nu) * jn))
-    return _report(
+    return IdentityReport(
         "EQ2_ROUNDTRIP",
         {"nus": list(nus), "zs": list(zs)},
         residuals,
         max(residuals),
         0.0,
-        tol,
+        1e-10,
     )
 
 
-def check_eq3_closure(
-    nus: tuple = (0.3, 1.0, 1.7),
-    zs: tuple = (0.5, 1.0, 2.0),
-    tol: float = 0.0,
-) -> IdentityReport:
+def check_eq3_closure(nus: tuple = (0.3, 1.0, 1.7), zs: tuple = (0.5, 1.0, 2.0)) -> IdentityReport:
     """H1 + H2 = 2J and H1 - H2 = 2iN, pointwise and exactly."""
     residuals = []
     for nu in nus:
@@ -475,26 +420,37 @@ def check_eq3_closure(
             h2 = hankel(2, nu, z).value
             residuals.append(abs(h1 + h2 - 2.0 * j))
             residuals.append(abs(h1 - h2 - 2.0j * nn))
-    return _report(
-        "EQ3_CLOSURE", {"nus": list(nus), "zs": list(zs)}, residuals, max(residuals), 0.0, tol
+    return IdentityReport(
+        "EQ3_CLOSURE", {"nus": list(nus), "zs": list(zs)}, residuals, max(residuals), 0.0, 0.0
     )
 
 
-def check_eq14_kernel(count: int = 20, seed: int = 20260808, tol: float = 0.0) -> IdentityReport:
-    """Kernel derivative identity at random points; the residual is exactly zero."""
+def check_eq14_kernel(seed: int = 20260808) -> IdentityReport:
+    """Kernel derivative identity at 20 random points; the residual is exactly zero."""
     rng = random.Random(seed)
     residuals = []
-    pts = 0
-    while pts < count:
+    while len(residuals) < 20:
         z = rng.uniform(0.2, 3.0)
         t = rng.uniform(0.2, 3.0)
-        if abs(t * t - z * z) < 0.05:
-            continue
-        residuals.append(kernel_identity_check(z, t))
-        pts += 1
-    return _report(
-        "EQ14_KERNEL", {"count": count, "seed": seed}, residuals, max(residuals), 0.0, tol
+        if abs(t * t - z * z) >= 0.05:
+            residuals.append(kernel_identity_check(z, t))
+    return IdentityReport(
+        "EQ14_KERNEL", {"count": 20, "seed": seed}, residuals, max(residuals), 0.0, 0.0
     )
+
+
+CHECKERS = {
+    "EQ2_ROUNDTRIP": check_eq2_roundtrip,
+    "EQ3_CLOSURE": check_eq3_closure,
+    "EQ3P_ORDER_J": check_eq3prime_order,
+    "EQ9_REAL": check_eq9_real,
+    "EQ11_SUM": check_eq11,
+    "EQ14_KERNEL": check_eq14_kernel,
+    "EQ15_ORDER_J": check_eq15_order,
+    "EQ17_SHIFT": check_integer_shift,
+    "EQ18_ORDER_J": check_eq18_order,
+}
+IDENTITY_IDS = tuple(CHECKERS)
 
 
 # ---------------------------------------------------------------------------

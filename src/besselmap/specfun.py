@@ -7,8 +7,8 @@ The evaluators are deliberately series/quadrature based and self-contained:
   order; for integer order the logarithmic series (``neumann_log_series``,
   DLMF 10.8.1), with the reflection N_-n = (-1)^n N_n.
 * ``hankel``     -- J +/- i N.
-* ``k_bessel`` / ``k_integral`` -- one half-line trapezoid after an
-  exponential substitution that makes the integrand decay
+* ``k_bessel`` -- the half-line trapezoid (shared with
+  ``sonine.a_function``) after an exponential substitution that makes the integrand decay
   double-exponentially at both ends, with node doubling until stabilization.
 * ``log_reduced_j`` / ``neumann_scaled_table`` -- (signs, logs) arrays of
   J_m(z)/z^m and t^m N_m(t) for every order m = 0..max, for sums whose
@@ -41,7 +41,6 @@ __all__ = [
     "neumann_log_series",
     "hankel",
     "k_bessel",
-    "k_integral",
     "reduced_j_series",
     "bessel_t_series",
     "neumann_t_series",
@@ -362,26 +361,6 @@ def k_bessel(nu: float, t: float) -> EvalResult:
     val, err, nodes = _halfline_quadrature(g)
     pref = 0.5 * (0.5 * t) ** nu
     return EvalResult(pref * val, pref * err, nodes)
-
-
-def k_integral(n: int, t: float) -> EvalResult:
-    """(1/2) * integral of exp(-t^2 x / 2 - 1/(2x)) x^(-n) dx over (0, inf).
-
-    Decaying-exponent convention; equals t^(n-1) K_(n-1)(t).
-    """
-    t = float(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    half_t2 = 0.5 * t * t
-
-    def g(x: float) -> float:
-        expo = -half_t2 * x - 0.5 / x - (n - 1) * math.log(x)
-        if expo < -700.0:
-            return 0.0
-        return math.exp(expo)  # x^(-n) * x jacobian = x^(1-n)
-
-    val, err, nodes = _halfline_quadrature(g)
-    return EvalResult(0.5 * val, 0.5 * err, nodes)
 
 
 # ---------------------------------------------------------------------------

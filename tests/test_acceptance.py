@@ -18,6 +18,7 @@ import pytest
 
 from besselmap import (
     LogPowerSeries,
+    a_function,
     SigmaConfig,
     apply_exp_sigma,
     bessel_j,
@@ -29,7 +30,6 @@ from besselmap import (
     check_eq18_order,
     check_integer_shift,
     k_bessel,
-    k_integral,
     kernel_identity_check,
     neumann,
     reduced_j_series,
@@ -134,7 +134,7 @@ def test_criterion_04_k_quadrature():
         closed_half = math.sqrt(math.pi / (2.0 * t)) * math.exp(-t)
         worst = max(worst, abs(k_bessel(0.5, t).value / closed_half - 1.0))
         worst = max(worst, abs(k_bessel(1.5, t).value / (closed_half * (1.0 + 1.0 / t)) - 1.0))
-    cross = abs(k_integral(1, 2.0).value - _k0_series_oracle(2.0))
+    cross = abs(a_function(bessel_pair(), 1, 2.0).value - _k0_series_oracle(2.0))
     ok = worst < 1e-8 and cross < 1e-8
     _line(4, "k-quadrature", ok, f"half-integer rel err {worst:.2e}, K0 cross {cross:.2e}")
     assert worst < 1e-8

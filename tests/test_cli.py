@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from besselmap import cli, specfun
+from besselmap import cli, identities, specfun
 
 
 @pytest.fixture
@@ -99,6 +99,20 @@ def test_check_eq11_passes(run_cli):
     assert payload["verdict"] == "pass"
     assert payload["residual"] < 5e-3
     assert payload["tolerance"] == 5e-3
+
+
+@pytest.mark.parametrize("identity_id", identities.IDENTITY_IDS)
+def test_check_without_options_runs_the_checker_defaults(run_cli, identity_id):
+    r = run_cli("--format", "json", "check", "--id", identity_id)
+    record = identities.CHECKERS[identity_id]().to_record()
+    assert r.stdout == json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+def test_check_forwards_only_the_options_set(run_cli):
+    r = run_cli("--format", "json", "check", "--id", "EQ17_SHIFT", "--n", "1", "--jmax-list", "2", "4")
+    record = identities.check_integer_shift(1, J_max_list=(2, 4)).to_record()
+    assert r.stdout == json.dumps(record, sort_keys=True, indent=2) + "\n"
+    assert json.loads(r.stdout)["params"]["t"] == 1.0
 
 
 def test_check_failing_identity_exits_one(run_cli):

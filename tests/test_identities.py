@@ -361,16 +361,9 @@ def test_eq14_kernel_exact():
 def test_report_verdict_consistency_is_enforced():
     from besselmap.identities import IdentityReport
 
-    with pytest.raises(ValueError):
-        IdentityReport(
-            identity_id="EQ11_SUM",
-            params={},
-            observed=[],
-            residual=1.0,
-            tail_estimate=0.0,
-            tolerance=0.5,
-            verdict="pass",
-        )
+    # the verdict is derived, so no caller can set one that disagrees
+    with pytest.raises(TypeError):
+        IdentityReport("EQ11_SUM", {}, [], 1.0, 0.0, 0.5, verdict="pass")
     with pytest.raises(ValueError):
         IdentityReport(
             identity_id="NOT_AN_ID",
@@ -379,8 +372,18 @@ def test_report_verdict_consistency_is_enforced():
             residual=0.0,
             tail_estimate=0.0,
             tolerance=0.5,
-            verdict="pass",
         )
+
+
+def test_report_verdict_is_derived_from_residual_and_tolerance():
+    from besselmap.identities import IdentityReport
+
+    failing = IdentityReport("EQ11_SUM", {}, [], 1.0, 0.0, 0.5)
+    assert failing.verdict == "fail"
+    assert failing.to_record()["verdict"] == "fail"
+    passing = IdentityReport("EQ11_SUM", {}, [], 0.5, 0.0, 0.5)
+    assert passing.verdict == "pass"
+    assert passing.to_record()["verdict"] == "pass"
 
 
 def test_suite_is_deterministic_and_sorted():

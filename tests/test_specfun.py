@@ -6,14 +6,15 @@ import pytest
 from scipy import special as sp
 
 from besselmap import (
+    a_function,
     bessel_j,
+    bessel_pair,
     bessel_t_series,
     digamma,
     gamma,
     hankel,
     hankel_t_series,
     k_bessel,
-    k_integral,
     lambda_taylor_target,
     neumann,
     neumann_log_series,
@@ -287,7 +288,8 @@ def test_k_symmetry_two_quadratures():
 
 
 def test_k_integral_matches_k0():
-    got = k_integral(1, 2.0).value
+    # the K integral is the Bessel pair's A_n(t) = t^(n-1) K_(n-1)(t)
+    got = a_function(bessel_pair(), 1, 2.0).value
     assert got == pytest.approx(_k0_series_oracle(2.0), rel=1e-10)
     assert got == pytest.approx(k_bessel(0.0, 2.0).value, rel=1e-10)
 
@@ -296,7 +298,7 @@ def test_k_integral_general_index():
     # the half-line integral with weight x^-n carries the order shift n - 1
     for n, t in ((0, 1.0), (2, 1.5), (-1, 2.0)):
         want = t ** (n - 1) * float(sp.kv(n - 1, t))
-        assert k_integral(n, t).value == pytest.approx(want, rel=1e-9)
+        assert a_function(bessel_pair(), n, t).value == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.5])
@@ -330,7 +332,7 @@ def test_k_domain_errors():
     with pytest.raises(ValueError):
         k_bessel(0.5, 0.0)
     with pytest.raises(ValueError):
-        k_integral(1, -2.0)
+        a_function(bessel_pair(), 1, -2.0)
 
 
 # ---------------------------------------------------------------------------
