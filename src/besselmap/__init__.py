@@ -41,8 +41,6 @@ from .specfun import (
     EvalResult,
     bessel_j,
     bessel_t_series,
-    digamma,
-    gamma,
     hankel,
     hankel_t_series,
     k_bessel,
@@ -79,8 +77,6 @@ __all__ = [
     "check_eq15_order",
     "check_eq18_order",
     "check_integer_shift",
-    "digamma",
-    "gamma",
     "hankel",
     "hankel_t_series",
     "k_bessel",

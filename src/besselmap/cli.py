@@ -6,8 +6,8 @@ eval    evaluate a reference function (J, N, H1, H2, K) at an order and argument
 series  print a series object (reducedJ, J, N, H1, H2) as term records
 map     apply the truncated exponential map to a series and print the result
 check   run one named identity checker; options left unset take the
-        checker's own defaults, and options the identity does not take are
-        ignored
+        checker's own defaults, and an option the identity does not take is
+        an error (exit 2)
 suite   run the full identity battery; exit 0 only if every verdict passes
 
 Reports serialize as JSON (schema 1), CSV, or text.  Output is fully
@@ -158,11 +158,15 @@ def _cmd_map(args) -> tuple[object, int]:
 
 
 def _cmd_check(args) -> tuple[object, int]:
-    """Call the checker with the options that were set and that it takes; the
-    check options have no parser defaults, so unset ones are absent."""
+    """Call the checker with the options that were set; the check options have
+    no parser defaults, so unset ones are absent.  An option the checker does
+    not take is an error."""
     checker = identities.CHECKERS[args.id]
     takes = inspect.signature(checker).parameters
-    given = {k: tuple(v) if isinstance(v, list) else v for k, v in vars(args).items() if k in takes}
+    given = {k: tuple(v) if isinstance(v, list) else v for k, v in vars(args).items() if k in args.flags}
+    foreign = [args.flags[k] for k in given if k not in takes]
+    if foreign:
+        raise ValueError(f"{args.id} does not take {' '.join(foreign)}")
     report: IdentityReport = checker(**given)
     return report.to_record(), 0 if report.verdict == "pass" else 1
 
@@ -207,17 +211,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="run one identity checker", argument_default=argparse.SUPPRESS)
     pc.add_argument("--id", required=True, choices=sorted(identities.IDENTITY_IDS))
-    pc.add_argument("--z", type=float)
-    pc.add_argument("--t", type=float)
-    pc.add_argument("--N", type=int)
-    pc.add_argument("--n", type=int)
-    pc.add_argument("--j", type=int)
-    pc.add_argument("--K", type=int)
-    pc.add_argument("--M", type=int)
-    pc.add_argument("--kind", type=int, choices=(1, 2))
-    pc.add_argument("--probes", type=float, nargs="+")
-    pc.add_argument("--jmax-list", dest="J_max_list", type=int, nargs="+")
-    pc.set_defaults(run=_cmd_check)
+    options = [
+        pc.add_argument("--z", type=float),
+        pc.add_argument("--t", type=float),
+        pc.add_argument("--N", type=int),
+        pc.add_argument("--n", type=int),
+        pc.add_argument("--j", type=int),
+        pc.add_argument("--K", type=int),
+        pc.add_argument("--M", type=int),
+        pc.add_argument("--kind", type=int, choices=(1, 2)),
+        pc.add_argument("--probes", type=float, nargs="+"),
+        pc.add_argument("--jmax-list", dest="J_max_list", type=int, nargs="+"),
+    ]
+    # checker parameter -> its flag
+    pc.set_defaults(run=_cmd_check, flags={a.dest: a.option_strings[0] for a in options})
 
     pu = sub.add_parser("suite", help="run the full identity battery")
     pu.set_defaults(run=_cmd_suite)

@@ -31,6 +31,7 @@ the checker with only the options the user set.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -104,16 +105,17 @@ class IdentityReport:
         return "pass" if self.residual <= self.tolerance else "fail"
 
     def to_record(self) -> dict:
+        """The report as a plain record; it shares no mutable object with the report."""
         return {
             "schema": 1,
             "identity_id": self.identity_id,
-            "params": self.params,
+            "params": copy.deepcopy(self.params),
             "observed": list(self.observed),
             "residual": self.residual,
             "tail_estimate": self.tail_estimate,
             "tolerance": self.tolerance,
             "verdict": self.verdict,
-            "details": self.details,
+            "details": copy.deepcopy(self.details),
             "notes": self.notes,
         }
 

@@ -115,6 +115,13 @@ def test_check_forwards_only_the_options_set(run_cli):
     assert json.loads(r.stdout)["params"]["t"] == 1.0
 
 
+def test_check_rejects_options_the_identity_does_not_take(run_cli):
+    r = run_cli("--format", "json", "check", "--id", "EQ2_ROUNDTRIP", "--K", "5", "--z", "3")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: EQ2_ROUNDTRIP does not take --K --z\n"
+
+
 def test_check_failing_identity_exits_one(run_cli):
     r = run_cli("--format", "json", "check", "--id", "EQ3P_ORDER_J", "--n", "0", "--j", "1")
     assert r.returncode == 1

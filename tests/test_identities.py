@@ -386,6 +386,18 @@ def test_report_verdict_is_derived_from_residual_and_tolerance():
     assert passing.to_record()["verdict"] == "pass"
 
 
+def test_record_shares_no_mutable_object_with_its_report():
+    rep = check_eq18_order(1, 0, 1)
+    params, details = json.dumps(rep.params), json.dumps(rep.details)
+    rec = rep.to_record()
+    rec["params"]["n"] = 99
+    rec["params"]["probes"].append(9.0)
+    rec["details"]["recombination_residual"] = -1.0
+    rec["details"]["added"] = 1
+    assert (json.dumps(rep.params), json.dumps(rep.details)) == (params, details)
+    assert rep.to_record()["params"]["probes"] == json.loads(params)["probes"]
+
+
 def test_suite_is_deterministic_and_sorted():
     a = [r.to_record() for r in run_suite()]
     b = [r.to_record() for r in run_suite()]

@@ -1,6 +1,9 @@
 """Reference evaluators against closed forms, independent series oracles and scipy."""
 
 import math
+import random
+import sys
+import threading
 
 import pytest
 from scipy import special as sp
@@ -10,8 +13,6 @@ from besselmap import (
     bessel_j,
     bessel_pair,
     bessel_t_series,
-    digamma,
-    gamma,
     hankel,
     hankel_t_series,
     k_bessel,
@@ -21,37 +22,14 @@ from besselmap import (
     neumann_t_series,
     reduced_j_series,
 )
-from besselmap.specfun import _halfline_quadrature, log_reduced_j, neumann_scaled_table
+from besselmap.specfun import _halfline_quadrature, _psi_table, log_reduced_j, neumann_scaled_table
 
 EULER_GAMMA = 0.5772156649015329
 
 
 # ---------------------------------------------------------------------------
-# gamma / digamma
+# psi at positive integers
 # ---------------------------------------------------------------------------
-
-
-def test_gamma_integer_and_half():
-    assert gamma(5.0).real == pytest.approx(24.0, rel=1e-14)
-    assert gamma(0.5).real == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-
-@pytest.mark.parametrize("x", [0.5, 1.0, 1.7, 3.2, 7.9, 15.0, 33.3, 50.0])
-def test_gamma_grid_vs_scipy(x):
-    assert gamma(x).real == pytest.approx(float(sp.gamma(x)), rel=1e-12)
-
-
-def test_gamma_reflection_and_complex():
-    assert gamma(-0.5).real == pytest.approx(float(sp.gamma(-0.5)), rel=1e-12)
-    z = 1.3 + 0.7j
-    want = complex(sp.gamma(z))
-    assert gamma(z) == pytest.approx(want, rel=1e-12)
-
-
-def test_gamma_poles():
-    for x in (0.0, -1.0, -7.0):
-        with pytest.raises(ValueError):
-            gamma(x)
 
 
 def test_digamma_at_one_independent_oracle():
@@ -59,18 +37,41 @@ def test_digamma_at_one_independent_oracle():
     N = 100_000
     h = sum(1.0 / k for k in range(1, N + 1))
     gamma_oracle = h - math.log(N) - 0.5 / N + 1.0 / (12.0 * N * N)
-    assert digamma(1.0) == pytest.approx(-gamma_oracle, abs=1e-12)
+    assert _psi_table(1)[0] == pytest.approx(-gamma_oracle, abs=1e-12)
 
 
-@pytest.mark.parametrize("x", [0.5, 1.0, 2.5, 7.0, 11.3, 26.0, 50.0, -0.3, -2.7])
-def test_digamma_grid_vs_scipy(x):
-    assert digamma(x) == pytest.approx(float(sp.digamma(x)), rel=1e-12, abs=1e-13)
+def test_psi_table_matches_mpmath_through_growth():
+    """_PSI[m - 1] = psi(m) = -gamma + H_(m-1) at m = 1..700.  The logarithmic
+    series grows the table to n + 600 <= 610 entries, so 700 takes it past
+    that, and growing leaves the entries already there as they were."""
+    mpmath = pytest.importorskip("mpmath")
+    before = list(_psi_table(610))
+    values = _psi_table(700)[:700]
+    assert values[:610] == before
+    for m, v in enumerate(values, start=1):
+        with mpmath.workdps(30):
+            ref = float(mpmath.digamma(m))
+        assert abs(v - ref) <= 2e-15 * abs(ref), m
 
 
-def test_digamma_poles():
-    for x in (0.0, -3.0):
-        with pytest.raises(ValueError):
-            digamma(x)
+def test_psi_table_grows_consistently_under_threads():
+    """Eight threads grow the table at once; every entry must still be the one
+    running sum, psi(m + 1) = psi(m) + 1/m bit for bit."""
+    top = len(_psi_table(1)) + 20_000
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=_psi_table, args=(top - 100 * i,)) for i in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    table = _psi_table(top)
+    assert len(table) == top
+    assert all(table[m] == table[m - 1] + 1.0 / m for m in range(1, top))
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +117,32 @@ def test_j_grid_vs_scipy(nu, z):
     assert abs(r.value.real - want) <= max(10.0 * r.err_estimate, 1e-13)
     if z <= 5.0:
         assert r.value.real == pytest.approx(want, rel=1e-11, abs=1e-13)
+
+
+def _j_misses(points):
+    """(nu, z, error, estimate) for every point where |bessel_j - mpmath| at
+    30 digits exceeds err_estimate; there is no absolute floor."""
+    mpmath = pytest.importorskip("mpmath")
+    misses = []
+    for nu, z in points:
+        r = bessel_j(nu, z)
+        with mpmath.workdps(30):
+            err = float(abs(mpmath.mpf(r.value.real) - mpmath.besselj(nu, z)))
+        if err > r.err_estimate:
+            misses.append((nu, z, err, r.err_estimate))
+    return misses
+
+
+def test_j_estimate_bounds_the_error_on_the_grid():
+    """nu = -10..10 in steps of 0.5 x 30 geometric z in [0.01, 20]."""
+    grid = [(0.5 * i, 0.01 * 2000.0 ** (k / 29)) for i in range(-20, 21) for k in range(30)]
+    assert not _j_misses(grid)
+
+
+def test_j_estimate_bounds_the_error_at_random_points():
+    rng = random.Random(20261018)
+    points = [(rng.uniform(-10.0, 10.0), 0.01 * 2000.0 ** rng.random()) for _ in range(500)]
+    assert not _j_misses(points)
 
 
 def test_j_domain_errors():
