@@ -33,7 +33,6 @@ from .sigmaop import (
     SigmaConfig,
     apply_exp_sigma,
     apply_sigma,
-    kernel_identity_check,
     lambda_coefficients,
 )
 from .sonine import GeneratingPair, PAIRS, a_function, bessel_pair, bilinear_check, z_function
@@ -80,7 +79,6 @@ __all__ = [
     "hankel",
     "hankel_t_series",
     "k_bessel",
-    "kernel_identity_check",
     "lambda_coefficients",
     "lambda_taylor_target",
     "neumann",

@@ -20,7 +20,8 @@ J_max) is a formal-logarithm expansion whose partial sums do not tend to
 the real-order functions.  The reports state what was computed so the
 behaviour is auditable rather than hidden.
 
-EQ2_ROUNDTRIP, EQ3_CLOSURE and EQ14_KERNEL are definitional guards.
+EQ2_ROUNDTRIP, EQ3_CLOSURE (the J, N Wronskian) and EQ14_KERNEL (the kernel's
+derivatives through the series calculus) are definitional guards that can fail.
 
 Each identity has one definition: its checker.  The checker's defaults are
 the identity's defaults and its tolerance is a literal in its body; a
@@ -40,19 +41,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .logseries import LogPowerSeries
-from .sigmaop import (
-    SigmaConfig,
-    exp_sigma_partial_sums,
-    kernel_identity_check,
-    lambda_coefficients,
-)
+from .logseries import LogPowerSeries, derivative_block
+from .sigmaop import SigmaConfig, exp_sigma_partial_sums, lambda_coefficients
 from .sonine import _symmetric_partials, _tail_fit
 from .specfun import (
+    _EPS,
     _reduced_j_lambda1_series,
+    _sin_cos_pi,
     bessel_j,
     bessel_t_series,
-    hankel,
     hankel_t_series,
     lambda_taylor_target,
     log_reduced_j,
@@ -385,14 +382,15 @@ def check_eq2_roundtrip(
     nus: tuple = (0.3, 0.7, 1.5, 2.6),
     zs: tuple = (0.5, 1.0, 2.0),
 ) -> IdentityReport:
-    """sin(nu pi) N_nu + J_(-nu) - cos(nu pi) J_nu = 0 for non-integer nu."""
+    """sin(nu pi) N_nu + J_(-nu) - cos(nu pi) J_nu = 0 for non-integer nu, the angle as in neumann."""
     residuals = []
     for nu in nus:
+        s, c = _sin_cos_pi(nu)
         for z in zs:
             jn = bessel_j(nu, z).value.real
             jm = bessel_j(-nu, z).value.real
             nn = neumann(nu, z).value.real
-            residuals.append(abs(math.sin(math.pi * nu) * nn + jm - math.cos(math.pi * nu) * jn))
+            residuals.append(abs(s * nn + jm - c * jn))
     return IdentityReport(
         "EQ2_ROUNDTRIP",
         {"nus": list(nus), "zs": list(zs)},
@@ -404,32 +402,48 @@ def check_eq2_roundtrip(
 
 
 def check_eq3_closure(nus: tuple = (0.3, 1.0, 1.7), zs: tuple = (0.5, 1.0, 2.0)) -> IdentityReport:
-    """H1 + H2 = 2J and H1 - H2 = 2iN, pointwise and exactly."""
-    residuals = []
+    """The Wronskian J_(nu+1) N_nu - J_nu N_(nu+1) = 2/(pi z) (DLMF 10.5) holds only
+    if N is independent of J.  observed is each point's defect over its bound
+    (tolerance 1): each factor's err_estimate times |other factor|, plus 4 eps
+    (|a| + |b| + 1/z) for rounding a = J_(nu+1) N_nu, b = J_nu N_(nu+1) and a - b - 2/(pi z)."""
+    ratios = []
     for nu in nus:
+        lo = nu - 1.0 if nu > 9.0 else nu  # the pair (lo, lo + 1) holds nu and stays in |order| <= 10
         for z in zs:
-            j = bessel_j(nu, z).value.real
-            nn = neumann(nu, z).value.real
-            h1 = hankel(1, nu, z).value
-            h2 = hankel(2, nu, z).value
-            residuals.append(abs(h1 + h2 - 2.0 * j))
-            residuals.append(abs(h1 - h2 - 2.0j * nn))
+            j0, j1 = bessel_j(lo, z), bessel_j(lo + 1.0, z)
+            n0, n1 = neumann(lo, z), neumann(lo + 1.0, z)
+            a = j1.value.real * n0.value.real
+            b = j0.value.real * n1.value.real
+            bound = sum(abs(x.value) * y.err_estimate for x, y in ((n0, j1), (j1, n0), (n1, j0), (j0, n1)))
+            bound += 4.0 * _EPS * (abs(a) + abs(b) + 1.0 / z)
+            ratios.append(abs(a - b - 2.0 / (math.pi * z)) / bound)
     return IdentityReport(
-        "EQ3_CLOSURE", {"nus": list(nus), "zs": list(zs)}, residuals, max(residuals), 0.0, 0.0
+        "EQ3_CLOSURE", {"nus": list(nus), "zs": list(zs)}, ratios, max(ratios), 0.0, 1.0
     )
 
 
 def check_eq14_kernel(seed: int = 20260808) -> IdentityReport:
-    """Kernel derivative identity at 20 random points; the residual is exactly zero."""
+    """d/du_z + d/du_t of the kernel 1/(t^2 - z^2) vanishes: the sign that puts the
+    alternating Sigma variant on the t side.  With lo, hi the smaller and larger of
+    u = x^2/2 at z and t, ``derivative_block`` reads the kernel's block
+    sum_{k<31} lo^k hi^(-k-1) / 2 as a series in lo (rows 0..30) and in hi (rows -31..-1).
+    observed is |d_lo + d_hi| / |d_lo| at 20 random points with min(z, t) <= max(z, t) / 2.
+    Tolerance 64 eps + 31 4^-30: d_lo + d_hi telescopes to -(31/2) lo^30 hi^-32, which
+    is at most 31 (lo/hi)^30 <= 31 4^-30 of d_lo >= 1/(2 hi^2); each derivative sums
+    31 terms of one sign, rounding below 32 eps of |d_lo|."""
     rng = random.Random(seed)
-    residuals = []
-    while len(residuals) < 20:
-        z = rng.uniform(0.2, 3.0)
-        t = rng.uniform(0.2, 3.0)
-        if abs(t * t - z * z) >= 0.05:
-            residuals.append(kernel_identity_check(z, t))
+    points = []
+    while len(points) < 20:
+        z, t = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
+        if min(z, t) <= 0.5 * max(z, t):
+            points.append(sorted((0.5 * z * z, 0.5 * t * t)))
+    lo, hi = np.array(points).T[:, :, None]
+    k, block = np.arange(31), np.full((31, 1), 0.5)
+    d_lo = (derivative_block(block, 0)[:, 0] * lo ** (k - 1) * hi ** (-k - 1)).sum(axis=1)
+    d_hi = (derivative_block(block, -31)[:, 0] * lo ** (30 - k) * hi ** (k - 32)).sum(axis=1)
+    residuals = (np.abs(d_lo + d_hi) / np.abs(d_lo)).tolist()
     return IdentityReport(
-        "EQ14_KERNEL", {"count": 20, "seed": seed}, residuals, max(residuals), 0.0, 0.0
+        "EQ14_KERNEL", {"count": 20, "seed": seed}, residuals, max(residuals), 0.0, 64 * _EPS + 31 * 4.0**-30
     )
 
 

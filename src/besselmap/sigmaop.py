@@ -6,10 +6,10 @@ Sigma acts on a log-power series s as
 
 where d^m is the m-fold derivative in u, I^m the m-fold antiderivative
 (zero integration constants), and the weight w(m) is 1 for the plain
-variant ("z1") or (-1)^m for the alternating variant ("z2", the one that
-appears on the t side of the bilinear identities).  Both signs of the
-weight are even in m, so the two variants differ exactly in the odd-m
-terms.
+variant ("z1") or (-1)^m for the alternating variant ("z2", on the t side of
+the bilinear identities, whose kernel has opposite derivatives in u_z and u_t;
+EQ14_KERNEL checks that sign).  Both signs of the weight are even in m, so
+the two variants differ exactly in the odd-m terms.
 
 exp(sign * lam * Sigma) is evaluated as a plain Taylor truncation at
 exp_order J_max; there is no resummation.  Reliable-order bookkeeping:
@@ -48,7 +48,6 @@ __all__ = [
     "apply_exp_sigma",
     "exp_sigma_partial_sums",
     "lambda_coefficients",
-    "kernel_identity_check",
 ]
 
 _VARIANTS = ("z1", "z2")
@@ -181,17 +180,3 @@ def apply_exp_sigma(s: LogPowerSeries, cfg: SigmaConfig, sign: int = 1) -> LogPo
     *_, out = exp_sigma_partial_sums(s, cfg, sign)
     return out
 
-
-def kernel_identity_check(z: float, t: float) -> float:
-    """Residual of d/d(z^2)[1/(t^2-z^2)] + d/d(t^2)[1/(t^2-z^2)], analytically zero.
-
-    The two closed forms are +(t^2-z^2)^-2 and -(t^2-z^2)^-2; the residual
-    guards the sign convention that turns the plain variant into the
-    alternating one on the t side.
-    """
-    x = t * t - z * z
-    if x == 0.0:
-        raise ValueError("singular input: t^2 == z^2")
-    d_z2 = 1.0 / (x * x)
-    d_t2 = -1.0 / (x * x)
-    return abs(d_z2 + d_t2)

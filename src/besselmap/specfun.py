@@ -192,6 +192,14 @@ def neumann_log_series(n: int, z: float) -> EvalResult:
     return EvalResult(total, err, effort)
 
 
+def _sin_cos_pi(nu: float) -> tuple[float, float]:
+    """sin and cos of pi nu from the exact remainder nu - n, n the nearest integer:
+    pi * nu itself is rounded by about |pi nu| eps, which 1 / sin(pi nu) amplifies."""
+    n = round(nu)
+    sign = -1.0 if n % 2 else 1.0
+    return sign * math.sin(math.pi * (nu - n)), sign * math.cos(math.pi * (nu - n))
+
+
 def neumann(nu: float, z: float) -> EvalResult:
     """N_nu(z).
 
@@ -207,17 +215,13 @@ def neumann(nu: float, z: float) -> EvalResult:
     n = round(nu)
     # Within 1e-8 of an integer the combination below loses about
     # eps / |nu - n| to cancellation, so the log series at n stands in; the
-    # estimate leaves out the order offset (ROADMAP item 2).
+    # estimate leaves out the order offset (ROADMAP item 3).
     if abs(nu - n) < 1e-8:
         r = neumann_log_series(abs(n), z)
         return EvalResult(-r.value, r.err_estimate, r.effort) if n < 0 and n % 2 else r
     jp = _j_series(nu, z)
     jm = _j_series(-nu, z)
-    # sin and cos of pi nu from the exact remainder nu - n: pi * nu itself is
-    # rounded by about |pi nu| eps, which 1 / sin(pi nu) amplifies
-    sign = -1.0 if n % 2 else 1.0
-    s = sign * math.sin(math.pi * (nu - n))
-    c = sign * math.cos(math.pi * (nu - n))
+    s, c = _sin_cos_pi(nu)
     val = (jp.value.real * c - jm.value.real) / s
     err = (jp.err_estimate + jm.err_estimate + 1e-16 * (abs(jp.value) + abs(jm.value))) / abs(s)
     return EvalResult(val, err, jp.effort + jm.effort)
@@ -318,10 +322,13 @@ def k_bessel(nu: float, t: float) -> EvalResult:
 def _bessel_coefficients(n: int, count: int) -> np.ndarray:
     """c_k(n) = (-1)^k / (k! (n+k)! 2^(n+k)) for k = 0..count-1: the u^k
     coefficients of J_n(z)/z^n, u = z^2/2.  The t^n J_n(t) coefficients are
-    c_k(n) 2^n, which is exact."""
-    return np.array(
-        [(-1.0) ** k / (math.factorial(k) * math.factorial(n + k) * 2.0 ** (n + k)) for k in range(count)]
-    )
+    c_k(n) 2^n, which is exact.  From k = 99 at n = 0 k!(n+k)! leaves the float range."""
+    try:
+        return np.array(
+            [(-1.0) ** k / (math.factorial(k) * math.factorial(n + k) * 2.0 ** (n + k)) for k in range(count)]
+        )
+    except OverflowError:
+        raise ValueError(f"c_k(n) at n = {n}, k = {count - 1}: k!(n+k)! leaves the float range; lower K") from None
 
 
 def _check_series_order(n: int, K: int) -> None:
@@ -418,9 +425,9 @@ FAMILIES = {
 def lambda_taylor_target(family: str, n: int, j: int, probe: float) -> complex:
     """(1/j!) d^j/dlam^j of the real-order target at lam = 0, j in {0, 1, 2}.
 
-    Computed by Richardson-combined central differences in the order
-    (steps 1e-3 and 5e-4).  For the reducedJ family at j = 1 the digamma
-    coefficient form is also computed; disagreement beyond 1e-6 raises.
+    The reducedJ family at j = 1 is its digamma coefficient form, the closed
+    lam^1 series that EQ3P compares with.  Every other target is computed by
+    Richardson-combined central differences in the order (steps 1e-3 and 5e-4).
     """
     value = FAMILIES.get(family, (None, None))[1]
     if value is None:
@@ -430,6 +437,10 @@ def lambda_taylor_target(family: str, n: int, j: int, probe: float) -> complex:
         raise ValueError("j must be 0, 1 or 2")
     if probe <= 0:
         raise ValueError("probe point must be positive")
+    if j == 1 and family == "reducedJ":
+        # its 64 terms reach rounding level at every probe <= 20
+        _check_domain(n, probe)
+        return _reduced_j_lambda1_series(n, 63).evaluate(0.5 * probe * probe)
     f = lambda lam: value(n + lam, probe)
     if j == 0:
         return f(0.0)
@@ -437,17 +448,7 @@ def lambda_taylor_target(family: str, n: int, j: int, probe: float) -> complex:
     if j == 1:
         d1 = (f(h) - f(-h)) / (2.0 * h)
         d2 = (f(h / 2) - f(-h / 2)) / h
-        fd = (4.0 * d2 - d1) / 3.0
-        if family == "reducedJ":
-            # its 64 terms reach rounding level at every probe <= 20, which f enforces
-            analytic = _reduced_j_lambda1_series(n, 63).evaluate(0.5 * probe * probe)
-            if abs(fd - analytic) > 1e-6:
-                raise ArithmeticError(
-                    f"lambda-Taylor internal consistency failure: finite differences "
-                    f"{fd} vs digamma form {analytic}"
-                )
-            return analytic
-        return fd
+        return (4.0 * d2 - d1) / 3.0
     f0 = f(0.0)
     s1 = (f(h) - 2.0 * f0 + f(-h)) / (h * h)
     s2 = (f(h / 2) - 2.0 * f0 + f(-h / 2)) / (h * h / 4.0)

@@ -168,6 +168,10 @@ def test_domain_error_exit_two(run_cli):
     r = run_cli("eval", "--fn", "K", "--order", "0.5", "--arg", "-1.0")
     assert r.returncode == 2
     assert "error:" in r.stderr
+    r = run_cli("series", "--family", "reducedJ", "--n", "0", "--K", "99")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: c_k(n) at n = 0, k = 99:")
 
 
 def test_eval_negative_order_in_scientific_notation(run_cli):

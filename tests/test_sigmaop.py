@@ -1,7 +1,6 @@
 """Sigma operator: definitional behaviour, exponential truncation, bookkeeping."""
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +10,6 @@ from besselmap import (
     SigmaConfig,
     apply_exp_sigma,
     apply_sigma,
-    kernel_identity_check,
     lambda_coefficients,
     reduced_j_series,
     sigmaop,
@@ -124,27 +122,6 @@ def test_sigma_log_structure_is_closed():
 def test_invalid_sign():
     with pytest.raises(ValueError):
         lambda_coefficients(const(), SigmaConfig("z1", 2, 1), sign=0)
-
-
-def test_kernel_identity_zero_residual():
-    for z, t in ((0.5, 2.0), (1.0, 3.0), (2.7, 0.3)):
-        assert kernel_identity_check(z, t) == 0.0
-
-
-def test_kernel_identity_random_points_exact():
-    rng = random.Random(99)
-    for _ in range(50):
-        z, t = rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0)
-        if abs(t * t - z * z) < 1e-9:
-            continue
-        assert kernel_identity_check(z, t) == 0.0
-
-
-def test_kernel_identity_singular():
-    with pytest.raises(ValueError):
-        kernel_identity_check(2.0, 2.0)
-    with pytest.raises(ValueError):
-        kernel_identity_check(2.0, -2.0)
 
 
 def test_truncated_map_known_gap_is_stable():

@@ -276,7 +276,7 @@ def test_n_and_h1_estimates_bound_the_error_at_random_points():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 2: within 1e-8 of an integer neumann returns the log series "
+    reason="ROADMAP item 3: within 1e-8 of an integer neumann returns the log series "
     "at the integer, whose estimate leaves out the order offset",
 )
 def test_n_estimate_bounds_the_error_inside_the_log_series_zone():
@@ -535,6 +535,14 @@ def test_series_builder_validation():
         hankel_t_series(3, 0, 12)
 
 
+def test_series_builders_raise_a_domain_error_where_c_k_leaves_the_float_range():
+    """k!(n+k)! passes the float range from k = 99 at n = 0."""
+    assert reduced_j_series(0, 98).coefficient(98, 0) == 0.0  # underflows, no error
+    for build in (reduced_j_series, _reduced_j_lambda1_series, neumann_t_series):
+        with pytest.raises(ValueError, match="n = 0, k = 99"):
+            build(0, 99)
+
+
 # ---------------------------------------------------------------------------
 # lambda-Taylor targets
 # ---------------------------------------------------------------------------
@@ -550,13 +558,29 @@ def test_lambda_target_order_zero():
 
 
 def test_lambda_target_first_order_reduced_is_internally_consistent():
-    # the digamma coefficient route and finite differences must agree (enforced
-    # inside); pin one value against the classical order-derivative identity
-    # dJ_nu/dnu at nu=0 equals (pi/2) N_0
+    # pin one value of the digamma coefficient route against the classical
+    # order-derivative identity dJ_nu/dnu at nu=0 equals (pi/2) N_0
     z = 1.0
     got = lambda_taylor_target("reducedJ", 0, 1, z).real
     want = (math.pi / 2.0) * float(sp.yn(0, z)) - math.log(z) * float(sp.jv(0, z))
     assert got == pytest.approx(want, abs=1e-9)
+
+
+def _reduced_j_order_differences(n, z):
+    """Richardson-combined central differences in the order of J_nu(z)/z^nu at
+    nu = n, steps 1e-3 and 5e-4: the finite-difference route to the lam^1 target."""
+    f = lambda lam: bessel_j(n + lam, z).value.real / z ** (n + lam)
+    h = 1e-3
+    d1 = (f(h) - f(-h)) / (2.0 * h)
+    d2 = (f(h / 2) - f(-h / 2)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_lambda_target_first_order_reduced_matches_finite_differences(n):
+    for z in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
+        got = lambda_taylor_target("reducedJ", n, 1, z)
+        assert abs(got - _reduced_j_order_differences(n, z)) <= 1e-6
 
 
 def test_lambda_target_first_order_neumann_family():
@@ -604,6 +628,8 @@ def test_lambda_target_validation():
         lambda_taylor_target("N", 0, 3, 1.0)
     with pytest.raises(ValueError):
         lambda_taylor_target("N", 0, 1, -1.0)
+    with pytest.raises(ValueError):
+        lambda_taylor_target("reducedJ", 0, 1, 25.0)  # the closed form is summed to probe 20
 
 
 # ---------------------------------------------------------------------------
