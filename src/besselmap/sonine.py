@@ -117,8 +117,9 @@ def _real_if_close(v: complex) -> complex:
 def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
     """A_n(t) by half-line quadrature under the decaying-exponent convention.
 
-    Divergence (growth under node doubling) raises ArithmeticError instead
-    of returning a number.
+    Divergence (growth under node doubling), and a power Mho(x)^n that leaves
+    the float range at some node, raise ArithmeticError instead of returning
+    a number.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -132,7 +133,10 @@ def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
             return 0.0
         return math.exp(expo) * m**n * x  # trailing x is the e^w jacobian
 
-    val, err, nodes = _halfline_quadrature(g)
+    try:
+        val, err, nodes = _halfline_quadrature(g)
+    except OverflowError:
+        raise ArithmeticError(f"A_{n}({t}): Mho(x)^{n} leaves the float range at a quadrature node") from None
     return EvalResult(val, err, nodes)
 
 

@@ -23,6 +23,7 @@ from besselmap import (
     apply_exp_sigma,
     bessel_j,
     bessel_pair,
+    bessel_t_series,
     check_eq3prime_order,
     check_eq9_real,
     check_eq11,
@@ -30,7 +31,9 @@ from besselmap import (
     check_eq15_order,
     check_eq18_order,
     check_integer_shift,
+    hankel_t_series,
     k_bessel,
+    lambda_coefficients,
     neumann,
     reduced_j_series,
     z_function,
@@ -220,10 +223,18 @@ def test_criterion_07_neumann_map_orders():
 # ---------------------------------------------------------------------------
 
 
+def _mapped_lambda1(series):
+    return lambda_coefficients(series, SigmaConfig("z2", shift_window=12, exp_order=1, lam=1.0))[1]
+
+
 def test_criterion_08_hankel_map_and_recombination():
-    reps = [check_eq18_order(1, n, 1, K=16, M=12) for n in (0, 1)]
-    map_res = [r.residual for r in reps]
-    rec_res = [r.details["recombination_residual"] for r in reps]
+    map_res = [check_eq18_order(1, n, 1, K=16, M=12).residual for n in (0, 1)]
+    rec_res = [
+        (_mapped_lambda1(hankel_t_series(1, n, 16)) + _mapped_lambda1(hankel_t_series(2, n, 16)))
+        .scale(0.5)
+        .compare(_mapped_lambda1(bessel_t_series(n, 16)), 16 - 12)
+        for n in (0, 1)
+    ]
     ok = all(r <= 1e-5 for r in map_res) and all(r <= 1e-12 for r in rec_res)
     _line(
         8,

@@ -122,6 +122,13 @@ def test_check_rejects_options_the_identity_does_not_take(run_cli):
     assert r.stderr == "error: EQ2_ROUNDTRIP does not take --K --z\n"
 
 
+def test_check_rejects_probes_outside_the_protocol_range(run_cli):
+    r = run_cli("--format", "json", "check", "--id", "EQ18_ORDER_J", "--probes", "10")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: probes must lie in (0, 4]\n"
+
+
 def test_check_failing_identity_exits_one(run_cli):
     r = run_cli("--format", "json", "check", "--id", "EQ3P_ORDER_J", "--n", "0", "--j", "1")
     assert r.returncode == 1
@@ -172,6 +179,9 @@ def test_domain_error_exit_two(run_cli):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith("error: c_k(n) at n = 0, k = 99:")
+    r = run_cli("eval", "--fn", "A", "--order", "99", "--arg", "0.5")
+    assert r.returncode == 2
+    assert r.stderr == "error: A_99(0.5): Mho(x)^99 leaves the float range at a quadrature node\n"
 
 
 def test_eval_negative_order_in_scientific_notation(run_cli):

@@ -275,14 +275,6 @@ def test_eq15_validation():
         check_eq15_order(0, 2, K=16, M=12)
 
 
-def test_eq18_recombination_is_exact():
-    # mapped Hankel series recombine into the mapped Bessel series by
-    # linearity, independent of how far the map itself is from its target
-    for n in (0, 1):
-        rep = check_eq18_order(1, n, 1)
-        assert rep.details["recombination_residual"] < 1e-12
-
-
 def test_eq18_kinds_mirror_at_real_probes():
     r1 = check_eq18_order(1, 0, 1)
     r2 = check_eq18_order(2, 0, 1)
@@ -292,6 +284,26 @@ def test_eq18_kinds_mirror_at_real_probes():
 def test_eq18_validation():
     with pytest.raises(ValueError):
         check_eq18_order(3, 0, 1)
+    with pytest.raises(ValueError, match="probes must lie in"):
+        check_eq18_order(1, 0, 1, probes=(10.0,))
+    with pytest.raises(ValueError):
+        check_eq18_order(1, -1, 1)
+
+
+def test_probe_checks_share_the_convergence_note():
+    # t = 4 lies outside what the K = 8 series sums to 1e-6; EQ15 and EQ18 say so alike
+    n15 = check_eq15_order(0, 1, K=8, M=4, probes=(4.0,)).notes
+    n18 = check_eq18_order(1, 0, 1, K=8, M=4, probes=(4.0,)).notes
+    assert n15 == n18 == "probe t=4.0 outside series convergence for K=8"
+
+
+def test_operator_reports_carry_their_reliable_order():
+    assert check_eq3prime_order(0, 2, K=26, M=12).details["reliable_order"] == 2
+    assert check_eq15_order(0, 2, K=24, M=8).details["reliable_order"] == 8
+    assert check_eq18_order(2, 1, 1, K=20, M=6).details["reliable_order"] == 14
+    # EQ17's partial sums lie below the reliable order at every compared J_max
+    assert check_integer_shift(0).details["reliable_order"] == [-8, -32, -56, -80]
+    assert check_integer_shift(0, K=20, M=4, J_max_list=(3, 1)).details["reliable_order"] == [8, 16]
 
 
 def test_integer_shift_degenerate_order_zero():
@@ -447,7 +459,7 @@ def test_record_shares_no_mutable_object_with_its_report():
     rec = rep.to_record()
     rec["params"]["n"] = 99
     rec["params"]["probes"].append(9.0)
-    rec["details"]["recombination_residual"] = -1.0
+    rec["details"]["reliable_order"] = -1
     rec["details"]["added"] = 1
     assert (json.dumps(rep.params), json.dumps(rep.details)) == (params, details)
     assert rep.to_record()["params"]["probes"] == json.loads(params)["probes"]

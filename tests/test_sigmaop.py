@@ -10,6 +10,8 @@ from besselmap import (
     SigmaConfig,
     apply_exp_sigma,
     apply_sigma,
+    bessel_t_series,
+    hankel_t_series,
     lambda_coefficients,
     reduced_j_series,
     sigmaop,
@@ -57,6 +59,13 @@ def test_sigma_linearity():
     doubled = apply_sigma(s.scale(2.0), cfg)
     reference = apply_sigma(s, cfg).scale(2.0)
     assert doubled.compare(reference, doubled.K_trunc) == 0.0
+    # Sigma is real: the images of t^n H^(1,2)_n = t^n (J_n +/- i N_n) recombine into
+    # the image of t^n J_n exactly, the Hankel recombination of criterion 8
+    cfg = SigmaConfig("z2", shift_window=12)
+    for n in (0, 1):
+        h1, h2 = (apply_sigma(hankel_t_series(kind, n, 16), cfg) for kind in (1, 2))
+        j = apply_sigma(bessel_t_series(n, 16), cfg)
+        assert (h1 + h2).scale(0.5).compare(j, j.K_trunc) == 0.0
 
 
 def test_sigma_reliable_order_drop():

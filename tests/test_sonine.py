@@ -103,6 +103,14 @@ def test_a_function_domain():
         a_function(bessel_pair(), 1, -1.0)
 
 
+def test_a_function_overflow_is_a_clear_error():
+    # Mho(x)^n leaves the float range at some node; the error names n and t
+    with pytest.raises(ArithmeticError, match=r"^A_99\(0\.5\): Mho\(x\)\^99 leaves the float range"):
+        a_function(bessel_pair(), 99, 0.5)
+    with pytest.raises(ArithmeticError, match=r"^A_-83\(0\.5\): "):
+        bilinear_check(bessel_pair(), 0.05, 0.5, 83)
+
+
 def test_bilinear_singular_input():
     with pytest.raises(ValueError):
         bilinear_check(bessel_pair(), 2.0, 2.0, 10)
