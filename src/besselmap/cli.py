@@ -4,7 +4,8 @@ Commands
 --------
 eval    evaluate a reference function (J, N, H1, H2, K) at an order and argument
 series  print a series object (reducedJ, J, N, H1, H2) as term records
-map     apply the truncated exponential map to a series and print the result
+map     apply the truncated exponential map to a series and print the result;
+        the series' variable picks the map's variant and sign
 check   run one named identity checker; options left unset take the
         checker's own defaults, and an option the identity does not take is
         an error (exit 2)
@@ -136,22 +137,22 @@ def _cmd_series(args) -> tuple[object, int]:
 def _cmd_map(args) -> tuple[object, int]:
     s = specfun.FAMILIES[args.family][0](args.n, args.K)
     cfg = sigmaop.SigmaConfig(
-        variant=args.variant,
         shift_window=args.shift_window,
         exp_order=args.exp_order,
         lam=getattr(args, "lambda"),
     )
-    mapped = sigmaop.apply_exp_sigma(s, cfg, sign=args.sign)
+    mapped = sigmaop.apply_exp_sigma(s, cfg)
+    variant, sign = sigmaop.MAP_FOR_TAG[s.variable_tag]
     payload = {
         "schema": 1,
         "command": "map",
         "family": args.family,
         "n": args.n,
-        "variant": cfg.variant,
+        "variant": variant,
         "shift_window": cfg.shift_window,
         "exp_order": cfg.exp_order,
         "lambda": cfg.lam,
-        "sign": args.sign,
+        "sign": sign,
     }
     payload.update(mapped.to_records())
     return payload, 0
@@ -202,11 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--family", required=True, choices=specfun.FAMILIES)
     pm.add_argument("--n", type=int, default=0)
     pm.add_argument("--K", type=int, default=16)
-    pm.add_argument("--variant", choices=("z1", "z2"), default="z2")
     pm.add_argument("--shift-window", dest="shift_window", type=int, default=12)
     pm.add_argument("--exp-order", dest="exp_order", type=int, default=4)
     pm.add_argument("--lambda", type=float, default=0.0)
-    pm.add_argument("--sign", type=int, choices=(1, -1), default=1)
     pm.set_defaults(run=_cmd_map)
 
     pc = sub.add_parser("check", help="run one identity checker", argument_default=argparse.SUPPRESS)

@@ -13,9 +13,10 @@ both checks.
 
 Operator-map checks (EQ3P_ORDER_J, EQ15_ORDER_J, EQ18_ORDER_J, EQ17_SHIFT)
 compare the truncated exponential map against real-order targets, order by
-order in the deformation parameter.  A series in u of z takes the plain
-variant as exp(-lam Sigma), one in u of t the alternating variant as
-exp(+lam Sigma).  EQ3P at j = 2, EQ15 and EQ18 share one probe protocol
+order in the deformation parameter.  The series' variable picks its map
+(``sigmaop.MAP_FOR_TAG``): a series in u of z takes the plain variant as
+exp(-lam Sigma), one in u of t the alternating variant as exp(+lam Sigma).
+EQ3P at j = 2, EQ15 and EQ18 share one probe protocol
 (:func:`_probe_report`): the caller builds its base series and names its
 family.  These checkers measure; they do not assume the truncated map
 converges.  The measured residuals are large and stable: the truncated
@@ -51,6 +52,7 @@ from .sigmaop import SigmaConfig, exp_sigma_partial_sums, lambda_coefficients
 from .sonine import _symmetric_partials, _tail_fit
 from .specfun import (
     _EPS,
+    _NEAR_INTEGER,
     FAMILIES,
     _reduced_j_lambda1_series,
     _sin_cos_pi,
@@ -229,9 +231,6 @@ def check_eq9_real(z: float = 0.5, t: float = 2.0, N: int = 200) -> IdentityRepo
 
 _DEFAULT_PROBES = (0.5, 1.0, 2.0)
 
-# series variable -> (Sigma variant, sign of the exponent) of its map
-_MAP_FOR_TAG = {"u-of-z": ("z1", -1), "u-of-t": ("z2", 1)}
-
 
 def _lambda_entry(series: LogPowerSeries, M: int, j: int):
     if j not in (1, 2):
@@ -240,9 +239,7 @@ def _lambda_entry(series: LogPowerSeries, M: int, j: int):
         raise ReliableOrderExhausted(
             f"K = {series.K_trunc} cannot support {j} Sigma applications at window M = {M}"
         )
-    variant, sign = _MAP_FOR_TAG[series.variable_tag]
-    cfg = SigmaConfig(variant=variant, shift_window=M, exp_order=j, lam=1.0)
-    return lambda_coefficients(series, cfg, sign=sign)[j]
+    return lambda_coefficients(series, SigmaConfig(shift_window=M, exp_order=j))[j]
 
 
 def _probe_report(identity_id: str, params: dict, base: LogPowerSeries, family: str, probes, tol: float):
@@ -324,14 +321,15 @@ def check_integer_shift(
     u = 0.5 * t * t
     # one ladder up to the largest order; the map at order J is its J-th prefix
     wanted = {int(jm) for jm in J_max_list}
+    if not wanted:
+        raise ValueError("J_max_list must not be empty")
     if min(wanted) < 0:
         raise ValueError("exp_order must be >= 0")
-    variant, sign = _MAP_FOR_TAG[base.variable_tag]
-    cfg = SigmaConfig(variant=variant, shift_window=M, exp_order=max(wanted), lam=1.0)
+    cfg = SigmaConfig(shift_window=M, exp_order=max(wanted), lam=1.0)
     # order -> (residual, K_trunc of the partial sum compared)
     compared: dict[int, tuple[float, int]] = {}
     try:
-        for order, partial in enumerate(exp_sigma_partial_sums(base, cfg, sign=sign)):
+        for order, partial in enumerate(exp_sigma_partial_sums(base, cfg)):
             if not np.isfinite(partial.coef).all():
                 break  # an overflowed coefficient: this order and every higher one report inf
             if order in wanted:
@@ -362,9 +360,12 @@ def check_eq2_roundtrip(
     nus: tuple = (0.3, 0.7, 1.5, 2.6),
     zs: tuple = (0.5, 1.0, 2.0),
 ) -> IdentityReport:
-    """sin(nu pi) N_nu + J_(-nu) - cos(nu pi) J_nu = 0 for non-integer nu, the angle as in neumann."""
+    """sin(nu pi) N_nu + J_(-nu) - cos(nu pi) J_nu = 0 for non-integer nu, the angle as in neumann.
+    An order that neumann takes as an integer tests no combination and is an error."""
     residuals = []
     for nu in nus:
+        if abs(nu - round(nu)) < _NEAR_INTEGER:
+            raise ValueError(f"EQ2 needs non-integer orders; nu = {nu} is within {_NEAR_INTEGER} of one")
         s, c = _sin_cos_pi(nu)
         for z in zs:
             jn = bessel_j(nu, z).value.real

@@ -11,17 +11,20 @@ the bilinear identities, whose kernel has opposite derivatives in u_z and u_t;
 EQ14_KERNEL checks that sign).  Both signs of the weight are even in m, so
 the two variants differ exactly in the odd-m terms.
 
-exp(sign * lam * Sigma) is evaluated as a plain Taylor truncation at
-exp_order J_max; there is no resummation.  Reliable-order bookkeeping:
-one application of Sigma with window M can only be trusted at powers
-whose derivative contributions all came from within the known range, so
-K_trunc drops by M per application and terms above the new K_trunc are
-discarded.  Coefficients at the surviving powers (including any negative
+The series' variable picks the map, in one table (``MAP_FOR_TAG``): a series
+in u of z takes the plain variant as exp(-lam Sigma), one in u of t the
+alternating variant as exp(+lam Sigma).  The exponential is evaluated as a
+plain Taylor truncation at exp_order J_max; there is no resummation.
+
+Reliable-order bookkeeping: one application of Sigma with window M can only
+be trusted at powers whose derivative contributions all came from within the
+known range, so K_trunc drops by M per application and terms above the new
+K_trunc are discarded.  Coefficients at the surviving powers (including any negative
 powers generated from log terms) received every in-window contribution.
 
 Sigma is linear and its action depends only on where a series' dense
-coefficient block sits (k_min, K_trunc, log columns J) and on (M,
-variant).  So it is applied as one real matrix-vector product.  The
+coefficient block sits (k_min, K_trunc, log columns J), on M and on the
+series' variable.  So it is applied as one real matrix-vector product.  The
 matrix is composed once from the derivative and antiderivative kernels
 of :mod:`besselmap.logseries` and kept in a bounded LRU cache keyed by
 that structure.  The lam^j ladder of the exponential is repeated
@@ -43,6 +46,7 @@ import numpy as np
 from .logseries import LogPowerSeries, antiderivative_block, derivative_block
 
 __all__ = [
+    "MAP_FOR_TAG",
     "SigmaConfig",
     "apply_sigma",
     "apply_exp_sigma",
@@ -50,7 +54,8 @@ __all__ = [
     "lambda_coefficients",
 ]
 
-_VARIANTS = ("z1", "z2")
+# series variable -> (Sigma variant, sign of the exponent) of its map
+MAP_FOR_TAG = {"u-of-z": ("z1", -1), "u-of-t": ("z2", 1)}
 
 # Operator matrices kept, one per input structure (k_min, K_trunc, J, M,
 # variant).  A pass of the identity battery touches a few dozen structures.
@@ -59,27 +64,19 @@ SIGMA_CACHE_SIZE = 64
 
 @dataclass(frozen=True)
 class SigmaConfig:
-    """Operator configuration: variant, shift window M, exp order, deformation lam."""
+    """Operator configuration: shift window M, exp order, deformation lam."""
 
-    variant: str = "z1"
     shift_window: int = 12
     exp_order: int = 4
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        v = self.variant.lower()
-        if v not in _VARIANTS:
-            raise ValueError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
-        object.__setattr__(self, "variant", v)
         if self.shift_window < 1:
             raise ValueError("shift_window must be >= 1")
         if self.exp_order < 0:
             raise ValueError("exp_order must be >= 0")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
-
-    def weight(self, m: int) -> float:
-        return 1.0 if self.variant == "z1" else (-1.0) ** (m % 2)
 
 
 @lru_cache(maxsize=SIGMA_CACHE_SIZE)
@@ -89,7 +86,6 @@ def _sigma_matrix(k_min: int, K_trunc: int, J: int, M: int, variant: str) -> np.
     outputs on the (k_min-M..K_trunc-M, J+1) grid, both flattened row-major.
     Built by applying the derivative and antiderivative kernels to the
     identity basis, M times each."""
-    cfg = SigmaConfig(variant=variant, shift_window=M)
     R = K_trunc - k_min + 1
     n = R * J
     acc = np.zeros((R, J + 1, n))
@@ -99,7 +95,7 @@ def _sigma_matrix(k_min: int, K_trunc: int, J: int, M: int, variant: str) -> np.
         a = antiderivative_block(a, k_min + m - 1)
         if not a[:, -1].any():  # the log degree grows only through the u^-1 row
             a = a[:, :-1]
-        w = cfg.weight(m) / m
+        w = (1.0 if variant == "z1" else (-1.0) ** m) / m
         # d^m s holds powers k_min-m.., I^m s powers k_min+m..; keep k <= K_trunc-M
         if M - m < R:
             acc[M - m :, :J] += w * d[: R - (M - m)]
@@ -123,17 +119,17 @@ def apply_sigma(s: LogPowerSeries, cfg: SigmaConfig) -> LogPowerSeries:
     R, J = s.coef.shape
     if R == 0:
         return LogPowerSeries._from_block(s.variable_tag, 0, s.K_trunc - M, s.coef)
-    matrix = _sigma_matrix(s.k_min, s.K_trunc, J, M, cfg.variant)
+    matrix = _sigma_matrix(s.k_min, s.K_trunc, J, M, MAP_FOR_TAG[s.variable_tag][0])
     re_im = np.ascontiguousarray(s.coef).view(np.float64).reshape(R * J, 2)
     out = (matrix[:, None, :] * re_im[:, :, None]).sum(axis=0)
     coef = np.ascontiguousarray(out.T).view(np.complex128).reshape(R, J + 1)
     return LogPowerSeries._from_block(s.variable_tag, s.k_min - M, s.K_trunc - M, coef)
 
 
-def _sigma_ladder(s: LogPowerSeries, cfg: SigmaConfig, sign: int):
-    """Yield sign^j Sigma^j s / j! for j = 0..exp_order, Sigma^j by nesting."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+def _sigma_ladder(s: LogPowerSeries, cfg: SigmaConfig):
+    """Yield sign^j Sigma^j s / j! for j = 0..exp_order, Sigma^j by nesting,
+    with the sign of the series' map."""
+    sign = MAP_FOR_TAG[s.variable_tag][1]
     term = s
     yield term
     for j in range(1, cfg.exp_order + 1):
@@ -141,25 +137,23 @@ def _sigma_ladder(s: LogPowerSeries, cfg: SigmaConfig, sign: int):
         yield term
 
 
-def lambda_coefficients(
-    s: LogPowerSeries, cfg: SigmaConfig, sign: int = 1
-) -> list[LogPowerSeries]:
+def lambda_coefficients(s: LogPowerSeries, cfg: SigmaConfig) -> list[LogPowerSeries]:
     """Coefficient series of lam^j in exp(sign*lam*Sigma) s, j = 0..exp_order.
 
     Entry j is sign^j Sigma^j s / j!, with Sigma^j computed by nesting, so
     entry j's reliable order is K_trunc - j*M.
     """
-    return list(_sigma_ladder(s, cfg, sign))
+    return list(_sigma_ladder(s, cfg))
 
 
-def exp_sigma_partial_sums(s: LogPowerSeries, cfg: SigmaConfig, sign: int = 1):
+def exp_sigma_partial_sums(s: LogPowerSeries, cfg: SigmaConfig):
     """Yield the truncated exponential at every order J = 0..exp_order:
     sum_{j<=J} (sign*lam)^j Sigma^j s / j!.
 
     Each order costs one more Sigma application than the one before it, and
     a caller that stops early pays only for the orders it took.
     """
-    ladder = _sigma_ladder(s, cfg, sign)
+    ladder = _sigma_ladder(s, cfg)
     out = next(ladder)
     yield out
     powl = 1.0
@@ -169,7 +163,7 @@ def exp_sigma_partial_sums(s: LogPowerSeries, cfg: SigmaConfig, sign: int = 1):
         yield out
 
 
-def apply_exp_sigma(s: LogPowerSeries, cfg: SigmaConfig, sign: int = 1) -> LogPowerSeries:
+def apply_exp_sigma(s: LogPowerSeries, cfg: SigmaConfig) -> LogPowerSeries:
     """Truncated exponential: sum_j (sign*lam)^j Sigma^j s / j!, j <= exp_order.
 
     lam = 0 returns s itself (the exact identity, truncation order intact).
@@ -177,6 +171,6 @@ def apply_exp_sigma(s: LogPowerSeries, cfg: SigmaConfig, sign: int = 1) -> LogPo
     """
     if cfg.lam == 0.0:
         return s
-    *_, out = exp_sigma_partial_sums(s, cfg, sign)
+    *_, out = exp_sigma_partial_sums(s, cfg)
     return out
 

@@ -56,6 +56,8 @@ _MAX_ARG = 20.0
 _MAX_ORDER = 10.0
 _SERIES_LIMIT = 600
 _EPS = 2.0**-52
+# Orders closer than this to an integer n are taken as n by ``neumann``.
+_NEAR_INTEGER = 1e-8
 
 
 @dataclass(frozen=True)
@@ -216,7 +218,7 @@ def neumann(nu: float, z: float) -> EvalResult:
     # Within 1e-8 of an integer the combination below loses about
     # eps / |nu - n| to cancellation, so the log series at n stands in; the
     # estimate leaves out the order offset (ROADMAP item 3).
-    if abs(nu - n) < 1e-8:
+    if abs(nu - n) < _NEAR_INTEGER:
         r = neumann_log_series(abs(n), z)
         return EvalResult(-r.value, r.err_estimate, r.effort) if n < 0 and n % 2 else r
     jp = _j_series(nu, z)

@@ -224,7 +224,7 @@ def test_criterion_07_neumann_map_orders():
 
 
 def _mapped_lambda1(series):
-    return lambda_coefficients(series, SigmaConfig("z2", shift_window=12, exp_order=1, lam=1.0))[1]
+    return lambda_coefficients(series, SigmaConfig(shift_window=12, exp_order=1, lam=1.0))[1]
 
 
 def test_criterion_08_hankel_map_and_recombination():
@@ -276,7 +276,7 @@ def test_criterion_09_unit_shift_trend():
 def test_criterion_10_operator_algebra():
     # (a) zero deformation is the identity
     s = reduced_j_series(1, 14)
-    ident_dist = apply_exp_sigma(s, SigmaConfig("z2", 6, 4, lam=0.0)).compare(s, 14)
+    ident_dist = apply_exp_sigma(s, SigmaConfig(6, 4, lam=0.0)).compare(s, 14)
 
     # (b) derivative-after-antiderivative round trip on randomized series;
     # the only allowed defect is the final rounding of the coefficient

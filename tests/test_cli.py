@@ -6,13 +6,15 @@ fresh interpreter, as a user does.
 
 import json
 import math
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
 
-from besselmap import cli, identities, specfun
+import besselmap
+from besselmap import cli, identities, sigmaop, specfun
 
 
 @pytest.fixture
@@ -32,10 +34,14 @@ def run_cli(capsys):
 
 
 def run_cold(*args):
+    """Run ``besselmap`` as a fresh interpreter on the package these tests imported."""
+    src = os.path.dirname(os.path.dirname(besselmap.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "besselmap.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -85,11 +91,29 @@ def test_map_lambda_zero_echoes_series(run_cli):
 def test_map_nonzero_lambda_reports_reliable_order(run_cli):
     r = run_cli(
         "--format", "json", "map", "--family", "reducedJ", "--n", "0", "--K", "16",
-        "--lambda", "0.5", "--shift-window", "4", "--exp-order", "2", "--sign", "-1",
+        "--lambda", "0.5", "--shift-window", "4", "--exp-order", "2",
     )
     payload = json.loads(r.stdout)
     assert payload["K_trunc"] == 16 - 2 * 4
-    assert payload["variant"] == "z2"
+    assert (payload["variant"], payload["sign"]) == ("z1", -1)
+
+
+@pytest.mark.parametrize("family", specfun.FAMILIES)
+def test_map_is_decided_by_the_series_variable(run_cli, family):
+    """The map record is apply_exp_sigma on the family's series and names the
+    (variant, sign) that the series' variable picks; neither can be chosen."""
+    r = run_cli(
+        "--format", "json", "map", "--family", family, "--n", "1", "--K", "16",
+        "--lambda", "0.5", "--shift-window", "4", "--exp-order", "2",
+    )
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    s = specfun.FAMILIES[family][0](1, 16)
+    mapped = sigmaop.apply_exp_sigma(s, sigmaop.SigmaConfig(4, 2, lam=0.5))
+    assert {k: payload[k] for k in mapped.to_records()} == json.loads(json.dumps(mapped.to_records()))
+    assert (payload["variant"], payload["sign"]) == sigmaop.MAP_FOR_TAG[s.variable_tag]
+    for flag, value in (("--variant", "z1"), ("--sign", "-1")):
+        assert run_cli("map", "--family", family, flag, value).returncode == 2
 
 
 def test_check_eq11_passes(run_cli):

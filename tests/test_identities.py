@@ -333,8 +333,8 @@ def test_integer_shift_ladder_matches_each_truncated_map(n, t):
     base = neumann_t_series(n, 16)
     target = rep.details["target"]
     for jm, got in zip(rep.params["J_max_list"], rep.observed):
-        cfg = SigmaConfig("z2", shift_window=12, exp_order=jm, lam=1.0)
-        assert got == abs(apply_exp_sigma(base, cfg, sign=1).evaluate(0.5 * t * t) - target)
+        cfg = SigmaConfig(shift_window=12, exp_order=jm, lam=1.0)
+        assert got == abs(apply_exp_sigma(base, cfg).evaluate(0.5 * t * t) - target)
 
 
 def test_integer_shift_validation():
@@ -342,6 +342,8 @@ def test_integer_shift_validation():
         check_integer_shift(0, t=3.0)
     with pytest.raises(ValueError):
         check_integer_shift(-1)
+    with pytest.raises(ValueError, match="J_max_list must not be empty"):
+        check_integer_shift(J_max_list=())
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +357,15 @@ def test_eq2_roundtrip_machine_level():
     rep = check_eq2_roundtrip()
     assert rep.verdict == "pass"
     assert rep.residual <= 1e-15
+
+
+@pytest.mark.parametrize("nu", [1.0, 2.000000005, -3.0, 4.0 - 5e-9])
+def test_eq2_roundtrip_rejects_orders_neumann_takes_as_integers(nu):
+    """Within specfun._NEAR_INTEGER of an integer sin(nu pi) is 0 or neumann's log
+    series stands in for the combination EQ2 checks, so the check would pass untested."""
+    with pytest.raises(ValueError, match=f"nu = {nu}"):
+        check_eq2_roundtrip(nus=(0.3, nu))
+    assert check_eq2_roundtrip(nus=(2.00000002,), zs=(1.0,)).verdict == "pass"
 
 
 def test_eq3_closure_exact():

@@ -16,38 +16,42 @@ from besselmap import (
     reduced_j_series,
     sigmaop,
 )
+from besselmap.logseries import _TAGS
 
 
-def const(K=8):
-    return LogPowerSeries("u-of-z", {(0, 0): 1.0}, K)
+def const(K=8, tag="u-of-z"):
+    """The constant 1; a series in u of z takes the plain variant, one in u of t the alternating."""
+    return LogPowerSeries(tag, {(0, 0): 1.0}, K)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SigmaConfig(variant="bogus")
     with pytest.raises(ValueError):
         SigmaConfig(shift_window=0)
     with pytest.raises(ValueError):
         SigmaConfig(exp_order=-1)
     with pytest.raises(ValueError):
         SigmaConfig(lam=1.5)
-    assert SigmaConfig(variant="Z2").variant == "z2"
+
+
+def test_map_for_tag_covers_every_variable():
+    assert set(sigmaop.MAP_FOR_TAG) == set(_TAGS)
+    assert sigmaop.MAP_FOR_TAG == {"u-of-z": ("z1", -1), "u-of-t": ("z2", 1)}
 
 
 def test_plain_variant_on_constant_window_two():
     # derivative terms vanish on constants, leaving -sum u^m/(m*m!)
-    out = apply_sigma(const(), SigmaConfig("z1", shift_window=2))
+    out = apply_sigma(const(), SigmaConfig(shift_window=2))
     assert out.terms == {(1, 0): -1.0, (2, 0): -0.25}
 
 
 def test_alternating_variant_on_constant_window_two():
-    out = apply_sigma(const(), SigmaConfig("z2", shift_window=2))
+    out = apply_sigma(const(tag="u-of-t"), SigmaConfig(shift_window=2))
     assert out.terms == {(1, 0): 1.0, (2, 0): -0.25}
 
 
 def test_variants_differ_by_odd_term_signs():
-    z1 = apply_sigma(const(), SigmaConfig("z1", shift_window=3))
-    z2 = apply_sigma(const(), SigmaConfig("z2", shift_window=3))
+    z1 = apply_sigma(const(), SigmaConfig(shift_window=3))
+    z2 = apply_sigma(const(tag="u-of-t"), SigmaConfig(shift_window=3))
     for m in (1, 2, 3):
         c1, c2 = z1.coefficient(m, 0), z2.coefficient(m, 0)
         assert c1 == (-c2 if m % 2 else c2)
@@ -55,13 +59,13 @@ def test_variants_differ_by_odd_term_signs():
 
 def test_sigma_linearity():
     s = reduced_j_series(0, 12)
-    cfg = SigmaConfig("z1", shift_window=4)
+    cfg = SigmaConfig(shift_window=4)
     doubled = apply_sigma(s.scale(2.0), cfg)
     reference = apply_sigma(s, cfg).scale(2.0)
     assert doubled.compare(reference, doubled.K_trunc) == 0.0
     # Sigma is real: the images of t^n H^(1,2)_n = t^n (J_n +/- i N_n) recombine into
     # the image of t^n J_n exactly, the Hankel recombination of criterion 8
-    cfg = SigmaConfig("z2", shift_window=12)
+    cfg = SigmaConfig(shift_window=12)
     for n in (0, 1):
         h1, h2 = (apply_sigma(hankel_t_series(kind, n, 16), cfg) for kind in (1, 2))
         j = apply_sigma(bessel_t_series(n, 16), cfg)
@@ -70,33 +74,32 @@ def test_sigma_linearity():
 
 def test_sigma_reliable_order_drop():
     s = reduced_j_series(0, 12)
-    out = apply_sigma(s, SigmaConfig("z1", shift_window=5))
+    out = apply_sigma(s, SigmaConfig(shift_window=5))
     assert out.K_trunc == 7
     assert all(k <= 7 for k, _ in out.terms)
 
 
 def test_exp_sigma_lambda_zero_is_identity():
-    s = reduced_j_series(1, 12)
-    for variant in ("z1", "z2"):
-        out = apply_exp_sigma(s, SigmaConfig(variant, 6, 4, lam=0.0))
+    for s in (reduced_j_series(1, 12), bessel_t_series(1, 12)):
+        out = apply_exp_sigma(s, SigmaConfig(6, 4, lam=0.0))
         assert out.compare(s, s.K_trunc) == 0.0
         assert out.K_trunc == s.K_trunc
 
 
 def test_exp_sigma_first_order_is_definitional():
-    s = reduced_j_series(0, 12)
-    cfg = SigmaConfig("z2", shift_window=3, exp_order=1, lam=0.35)
-    for sign in (1, -1):
-        out = apply_exp_sigma(s, cfg, sign=sign)
+    cfg = SigmaConfig(shift_window=3, exp_order=1, lam=0.35)
+    for s in (bessel_t_series(0, 12), reduced_j_series(0, 12)):
+        sign = sigmaop.MAP_FOR_TAG[s.variable_tag][1]
+        out = apply_exp_sigma(s, cfg)
         expected = s.add(apply_sigma(s, cfg).scale(sign / 1).scale(cfg.lam))
         assert out.compare(expected, expected.K_trunc) == 0.0
 
 
 def test_lambda_coefficients_structure():
-    s = reduced_j_series(0, 16)
-    cfg = SigmaConfig("z1", shift_window=3, exp_order=3)
-    for sign in (1, -1):
-        entries = lambda_coefficients(s, cfg, sign=sign)
+    cfg = SigmaConfig(shift_window=3, exp_order=3)
+    for s in (bessel_t_series(0, 16), reduced_j_series(0, 16)):
+        sign = sigmaop.MAP_FOR_TAG[s.variable_tag][1]
+        entries = lambda_coefficients(s, cfg)
         assert len(entries) == 4
         assert entries[0] is s
         assert entries[1].compare(apply_sigma(s, cfg).scale(sign), entries[1].K_trunc) == 0.0
@@ -110,8 +113,8 @@ def test_lambda_coefficients_structure():
 def test_second_order_entry_hand_expansion():
     # variant z2, M = 1: Sigma(u^0) = u, Sigma(u) = -1 + u^2/2,
     # so the lam^2 entry is (1/2) Sigma(Sigma u^0) = -1/2 + u^2/4.
-    s = const(K=8)
-    entries = lambda_coefficients(s, SigmaConfig("z2", shift_window=1, exp_order=2), sign=1)
+    s = const(K=8, tag="u-of-t")
+    entries = lambda_coefficients(s, SigmaConfig(shift_window=1, exp_order=2))
     assert entries[2].terms == {(0, 0): -0.5, (2, 0): 0.25}
 
 
@@ -121,16 +124,11 @@ def test_sigma_log_structure_is_closed():
     # j-raising rule needs a negative-power log term, and those never form
     # from non-negative-power seeds.
     s = LogPowerSeries("u-of-t", {(0, 1): 1.0, (2, 1): 0.5, (1, 0): 1.0}, 8)
-    once = apply_sigma(s, SigmaConfig("z2", shift_window=2))
+    once = apply_sigma(s, SigmaConfig(shift_window=2))
     assert once.k_min < 0
-    twice = apply_sigma(once, SigmaConfig("z2", shift_window=2))
+    twice = apply_sigma(once, SigmaConfig(shift_window=2))
     assert twice.j_max <= 1
     assert all(j == 0 for k, j in twice.terms if k < 0)
-
-
-def test_invalid_sign():
-    with pytest.raises(ValueError):
-        lambda_coefficients(const(), SigmaConfig("z1", 2, 1), sign=0)
 
 
 def test_truncated_map_known_gap_is_stable():
@@ -142,7 +140,7 @@ def test_truncated_map_known_gap_is_stable():
     s = reduced_j_series(0, 40)
 
     def u0_coeff(M):
-        entry = lambda_coefficients(s, SigmaConfig("z1", M, 1), sign=-1)[1]
+        entry = lambda_coefficients(s, SigmaConfig(M, 1))[1]
         return entry.coefficient(0, 0).real
 
     plateau = u0_coeff(24)
@@ -170,16 +168,17 @@ def _series_and_config(draw):
         )
     )
     terms[(-1, draw(st.integers(0, 2)))] = draw(_coefficient)  # the u^-1 row raises log powers
-    cfg = SigmaConfig(draw(st.sampled_from(("z1", "z2"))), shift_window=draw(st.integers(1, 6)))
-    return LogPowerSeries("u-of-t", terms, K), cfg
+    cfg = SigmaConfig(shift_window=draw(st.integers(1, 6)))
+    return LogPowerSeries(draw(st.sampled_from(_TAGS)), terms, K), cfg
 
 
 def _sigma_by_definition(s, cfg):
-    """sum_m w(m)/m (d^m s - I^m s), truncated at K_trunc - M, one step at a time."""
+    """sum_m w(m)/m (d^m s - I^m s), truncated at K_trunc - M, one step at a time;
+    w(m) is 1 for a series in u of z and (-1)^m for one in u of t."""
     M = cfg.shift_window
     out = LogPowerSeries(s.variable_tag, {}, s.K_trunc - M)
     for m in range(1, M + 1):
-        w = cfg.weight(m) / m
+        w = (1.0 if s.variable_tag == "u-of-z" else (-1.0) ** m) / m
         out = out.add(s.derivative(m).scale(w)).add(s.antiderivative(m).scale(-w))
     scale = max(
         (
@@ -204,15 +203,15 @@ def test_apply_sigma_matches_definition(case):
 
 
 def test_sigma_matrix_cache_is_bounded():
-    s = const()
+    s = const(tag="u-of-t")
     for K in range(sigmaop.SIGMA_CACHE_SIZE + 8):
-        apply_sigma(LogPowerSeries("u-of-z", {(0, 0): 1.0}, K), SigmaConfig("z1", shift_window=1))
+        apply_sigma(const(K), SigmaConfig(shift_window=1))
     info = sigmaop._sigma_matrix.cache_info()
     assert info.maxsize == sigmaop.SIGMA_CACHE_SIZE
     assert info.currsize <= info.maxsize
     # a hit returns the same read-only matrix and the same result
-    first = apply_sigma(s, SigmaConfig("z2", shift_window=3))
+    first = apply_sigma(s, SigmaConfig(shift_window=3))
     hits = sigmaop._sigma_matrix.cache_info().hits
-    again = apply_sigma(s, SigmaConfig("z2", shift_window=3))
+    again = apply_sigma(s, SigmaConfig(shift_window=3))
     assert sigmaop._sigma_matrix.cache_info().hits == hits + 1
     assert again == first
