@@ -16,7 +16,6 @@ The package has four layers:
 
 from .identities import (
     IdentityReport,
-    ReliableOrderExhausted,
     check_eq2_roundtrip,
     check_eq3_closure,
     check_eq3prime_order,
@@ -29,12 +28,7 @@ from .identities import (
     run_suite,
 )
 from .logseries import LogPowerSeries
-from .sigmaop import (
-    SigmaConfig,
-    apply_exp_sigma,
-    apply_sigma,
-    lambda_coefficients,
-)
+from .sigmaop import ReliableOrderExhausted, apply_exp_sigma, apply_sigma, lambda_coefficients
 from .sonine import GeneratingPair, PAIRS, a_function, bessel_pair, bilinear_check, z_function
 from .specfun import (
     EvalResult,
@@ -59,7 +53,6 @@ __all__ = [
     "LogPowerSeries",
     "PAIRS",
     "ReliableOrderExhausted",
-    "SigmaConfig",
     "a_function",
     "apply_exp_sigma",
     "apply_sigma",

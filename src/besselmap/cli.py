@@ -109,6 +109,8 @@ _EVALUATORS = {
 
 def _cmd_eval(args) -> tuple[object, int]:
     fn = args.fn
+    if fn in ("Z", "A") and not float(args.order).is_integer():
+        raise ValueError(f"--fn {fn} takes an integer order; got {args.order}")
     r = _EVALUATORS[fn](args.order, args.arg, args.pair)
     value = complex(r.value)
     payload = {
@@ -136,12 +138,8 @@ def _cmd_series(args) -> tuple[object, int]:
 
 def _cmd_map(args) -> tuple[object, int]:
     s = specfun.FAMILIES[args.family][0](args.n, args.K)
-    cfg = sigmaop.SigmaConfig(
-        shift_window=args.shift_window,
-        exp_order=args.exp_order,
-        lam=getattr(args, "lambda"),
-    )
-    mapped = sigmaop.apply_exp_sigma(s, cfg)
+    lam = getattr(args, "lambda")
+    mapped = sigmaop.apply_exp_sigma(s, args.shift_window, args.exp_order, lam)
     variant, sign = sigmaop.MAP_FOR_TAG[s.variable_tag]
     payload = {
         "schema": 1,
@@ -149,9 +147,9 @@ def _cmd_map(args) -> tuple[object, int]:
         "family": args.family,
         "n": args.n,
         "variant": variant,
-        "shift_window": cfg.shift_window,
-        "exp_order": cfg.exp_order,
-        "lambda": cfg.lam,
+        "shift_window": args.shift_window,
+        "exp_order": args.exp_order,
+        "lambda": lam,
         "sign": sign,
     }
     payload.update(mapped.to_records())

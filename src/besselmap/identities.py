@@ -24,7 +24,9 @@ double series (shift window M, exponential order J_max) is a
 formal-logarithm expansion whose partial sums do not tend to the real-order
 functions.  The reports state what was computed, with the reliable order
 left in each compared series, so the behaviour is auditable rather than
-hidden.
+hidden.  That order is the compared series' own K_trunc: the guard that it
+is not negative lives in ``sigmaop.lambda_coefficients``, and EQ17 reports
+the K_trunc of its partial sums instead of raising.
 
 EQ2_ROUNDTRIP, EQ3_CLOSURE (the J, N Wronskian) and EQ14_KERNEL (the kernel's
 derivatives through the series calculus) are definitional guards that can fail.
@@ -48,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .logseries import LogPowerSeries, derivative_block
-from .sigmaop import SigmaConfig, exp_sigma_partial_sums, lambda_coefficients
+from .sigmaop import exp_sigma_partial_sums, lambda_coefficients
 from .sonine import _symmetric_partials, _tail_fit
 from .specfun import (
     _EPS,
@@ -68,7 +70,6 @@ from .specfun import (
 
 __all__ = [
     "IdentityReport",
-    "ReliableOrderExhausted",
     "check_eq11",
     "check_eq9_real",
     "check_eq3prime_order",
@@ -81,10 +82,6 @@ __all__ = [
     "CHECKERS",
     "run_suite",
 ]
-
-class ReliableOrderExhausted(ValueError):
-    """K_trunc is too small for the requested comparison depth."""
-
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -121,6 +118,13 @@ class IdentityReport:
             "details": copy.deepcopy(self.details),
             "notes": self.notes,
         }
+
+
+def _nonempty(**sequences) -> None:
+    """Raise a ValueError that names the first empty sequence."""
+    for name, seq in sequences.items():
+        if len(seq) == 0:
+            raise ValueError(f"{name} must not be empty")
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +239,7 @@ _DEFAULT_PROBES = (0.5, 1.0, 2.0)
 def _lambda_entry(series: LogPowerSeries, M: int, j: int):
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
-    if series.K_trunc - j * M < 0:
-        raise ReliableOrderExhausted(
-            f"K = {series.K_trunc} cannot support {j} Sigma applications at window M = {M}"
-        )
-    return lambda_coefficients(series, SigmaConfig(shift_window=M, exp_order=j))[j]
+    return lambda_coefficients(series, M, j)[j]
 
 
 def _probe_report(identity_id: str, params: dict, base: LogPowerSeries, family: str, probes, tol: float):
@@ -249,6 +249,7 @@ def _probe_report(identity_id: str, params: dict, base: LogPowerSeries, family: 
     family's real-order function.  A probe where the base series itself misses
     the family's value by more than 1e-6 relative is named in the notes."""
     n, j = params["n"], params["j"]
+    _nonempty(probes=probes)
     if any(not 0.0 < x <= 4.0 for x in probes):
         raise ValueError("probes must lie in (0, 4]")
     entry = _lambda_entry(base, params["M"], j)
@@ -277,7 +278,7 @@ def check_eq3prime_order(n: int = 0, j: int = 1, K: int = 16, M: int = 12) -> Id
     if j == 2:
         return _probe_report("EQ3P_ORDER_J", params, base, "reducedJ", _DEFAULT_PROBES, 1e-5)
     entry = _lambda_entry(base, M, j)
-    order = K - M
+    order = entry.K_trunc
     target = _reduced_j_lambda1_series(n, K)
     distances = [abs(entry.coefficient(k, 0) - target.coefficient(k, 0)) for k in range(order + 1)]
     residual = entry.compare(target, order)
@@ -319,17 +320,16 @@ def check_integer_shift(
     base = neumann_t_series(n, K)
     target = t ** (n + 1) * neumann(float(n + 1), t).value.real
     u = 0.5 * t * t
-    # one ladder up to the largest order; the map at order J is its J-th prefix
+    _nonempty(J_max_list=J_max_list)
     wanted = {int(jm) for jm in J_max_list}
-    if not wanted:
-        raise ValueError("J_max_list must not be empty")
     if min(wanted) < 0:
         raise ValueError("exp_order must be >= 0")
-    cfg = SigmaConfig(shift_window=M, exp_order=max(wanted), lam=1.0)
+    # one ladder up to the largest order; the map at order J is its J-th prefix
+    partials = exp_sigma_partial_sums(base, M, max(wanted), 1.0)
     # order -> (residual, K_trunc of the partial sum compared)
     compared: dict[int, tuple[float, int]] = {}
     try:
-        for order, partial in enumerate(exp_sigma_partial_sums(base, cfg)):
+        for order, partial in enumerate(partials):
             if not np.isfinite(partial.coef).all():
                 break  # an overflowed coefficient: this order and every higher one report inf
             if order in wanted:
@@ -362,6 +362,7 @@ def check_eq2_roundtrip(
 ) -> IdentityReport:
     """sin(nu pi) N_nu + J_(-nu) - cos(nu pi) J_nu = 0 for non-integer nu, the angle as in neumann.
     An order that neumann takes as an integer tests no combination and is an error."""
+    _nonempty(nus=nus, zs=zs)
     residuals = []
     for nu in nus:
         if abs(nu - round(nu)) < _NEAR_INTEGER:
@@ -387,6 +388,7 @@ def check_eq3_closure(nus: tuple = (0.3, 1.0, 1.7), zs: tuple = (0.5, 1.0, 2.0))
     if N is independent of J.  observed is each point's defect over its bound
     (tolerance 1): each factor's err_estimate times |other factor|, plus 4 eps
     (|a| + |b| + 1/z) for rounding a = J_(nu+1) N_nu, b = J_nu N_(nu+1) and a - b - 2/(pi z)."""
+    _nonempty(nus=nus, zs=zs)
     ratios = []
     for nu in nus:
         lo = nu - 1.0 if nu > 9.0 else nu  # the pair (lo, lo + 1) holds nu and stays in |order| <= 10

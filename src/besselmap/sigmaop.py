@@ -14,16 +14,20 @@ the two variants differ exactly in the odd-m terms.
 The series' variable picks the map, in one table (``MAP_FOR_TAG``): a series
 in u of z takes the plain variant as exp(-lam Sigma), one in u of t the
 alternating variant as exp(+lam Sigma).  The exponential is evaluated as a
-plain Taylor truncation at exp_order J_max; there is no resummation.
+plain Taylor truncation at order J; there is no resummation.  Each entry
+point takes only the numbers it reads (shift window M, exponential order J,
+deformation lam) and checks them on entry.
 
 Reliable-order bookkeeping: one application of Sigma with window M can only
 be trusted at powers whose derivative contributions all came from within the
 known range, so K_trunc drops by M per application and terms above the new
 K_trunc are discarded.  Coefficients at the surviving powers (including any negative
 powers generated from log terms) received every in-window contribution.
+:func:`lambda_coefficients` raises :class:`ReliableOrderExhausted` when
+K_trunc - J*M < 0; the partial sums are not guarded and carry their K_trunc.
 
 Sigma is linear and its action depends only on where a series' dense
-coefficient block sits (k_min, K_trunc, log columns J), on M and on the
+coefficient block sits (k_min, K_trunc, its log columns), on M and on the
 series' variable.  So it is applied as one real matrix-vector product.  The
 matrix is composed once from the derivative and antiderivative kernels
 of :mod:`besselmap.logseries` and kept in a bounded LRU cache keyed by
@@ -38,8 +42,9 @@ not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -47,7 +52,7 @@ from .logseries import LogPowerSeries, antiderivative_block, derivative_block
 
 __all__ = [
     "MAP_FOR_TAG",
-    "SigmaConfig",
+    "ReliableOrderExhausted",
     "apply_sigma",
     "apply_exp_sigma",
     "exp_sigma_partial_sums",
@@ -62,21 +67,18 @@ MAP_FOR_TAG = {"u-of-z": ("z1", -1), "u-of-t": ("z2", 1)}
 SIGMA_CACHE_SIZE = 64
 
 
-@dataclass(frozen=True)
-class SigmaConfig:
-    """Operator configuration: shift window M, exp order, deformation lam."""
+class ReliableOrderExhausted(ValueError):
+    """K_trunc is too small for the requested comparison depth."""
 
-    shift_window: int = 12
-    exp_order: int = 4
-    lam: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.shift_window < 1:
-            raise ValueError("shift_window must be >= 1")
-        if self.exp_order < 0:
-            raise ValueError("exp_order must be >= 0")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
+def _check(M: int, J: int = 0, lam: float = 0.0) -> None:
+    """The checks of the map's numbers: shift window M, exponential order J, deformation lam."""
+    if M < 1:
+        raise ValueError("shift_window must be >= 1")
+    if J < 0:
+        raise ValueError("exp_order must be >= 0")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must lie in [0, 1]")
 
 
 @lru_cache(maxsize=SIGMA_CACHE_SIZE)
@@ -106,8 +108,8 @@ def _sigma_matrix(k_min: int, K_trunc: int, J: int, M: int, variant: str) -> np.
     return matrix
 
 
-def apply_sigma(s: LogPowerSeries, cfg: SigmaConfig) -> LogPowerSeries:
-    """One application of Sigma; the result's reliable order is K_trunc - M.
+def apply_sigma(s: LogPowerSeries, M: int) -> LogPowerSeries:
+    """One application of Sigma with window M; the result's reliable order is K_trunc - M.
 
     One real matrix-vector product: the cached operator matrix for the
     series' structure times its real and its imaginary coefficients.  The
@@ -115,7 +117,7 @@ def apply_sigma(s: LogPowerSeries, cfg: SigmaConfig) -> LogPowerSeries:
     reduction, not by BLAS, so the rounding does not depend on the BLAS
     kernel a CPU picks, and coefficients that are zero change no sum.
     """
-    M = cfg.shift_window
+    _check(M)
     R, J = s.coef.shape
     if R == 0:
         return LogPowerSeries._from_block(s.variable_tag, 0, s.K_trunc - M, s.coef)
@@ -126,51 +128,55 @@ def apply_sigma(s: LogPowerSeries, cfg: SigmaConfig) -> LogPowerSeries:
     return LogPowerSeries._from_block(s.variable_tag, s.k_min - M, s.K_trunc - M, coef)
 
 
-def _sigma_ladder(s: LogPowerSeries, cfg: SigmaConfig):
-    """Yield sign^j Sigma^j s / j! for j = 0..exp_order, Sigma^j by nesting,
+def _sigma_ladder(s: LogPowerSeries, M: int, J: int):
+    """Yield sign^j Sigma^j s / j! for j = 0..J, Sigma^j by nesting,
     with the sign of the series' map."""
     sign = MAP_FOR_TAG[s.variable_tag][1]
     term = s
     yield term
-    for j in range(1, cfg.exp_order + 1):
-        term = apply_sigma(term, cfg).scale(sign / j)
+    for j in range(1, J + 1):
+        term = apply_sigma(term, M).scale(sign / j)
         yield term
 
 
-def lambda_coefficients(s: LogPowerSeries, cfg: SigmaConfig) -> list[LogPowerSeries]:
-    """Coefficient series of lam^j in exp(sign*lam*Sigma) s, j = 0..exp_order.
+def lambda_coefficients(s: LogPowerSeries, M: int, J: int) -> list[LogPowerSeries]:
+    """Coefficient series of lam^j in exp(sign*lam*Sigma) s, j = 0..J.
 
     Entry j is sign^j Sigma^j s / j!, with Sigma^j computed by nesting, so
-    entry j's reliable order is K_trunc - j*M.
+    entry j's reliable order is K_trunc - j*M.  Raises ReliableOrderExhausted
+    if entry J would keep no reliable power.
     """
-    return list(_sigma_ladder(s, cfg))
+    _check(M, J)
+    if s.K_trunc - J * M < 0:
+        raise ReliableOrderExhausted(f"K = {s.K_trunc} cannot support {J} Sigma applications at window M = {M}")
+    return list(_sigma_ladder(s, M, J))
 
 
-def exp_sigma_partial_sums(s: LogPowerSeries, cfg: SigmaConfig):
-    """Yield the truncated exponential at every order J = 0..exp_order:
-    sum_{j<=J} (sign*lam)^j Sigma^j s / j!.
+def exp_sigma_partial_sums(s: LogPowerSeries, M: int, J: int, lam: float):
+    """Iterate the truncated exponential at every order 0..J:
+    sum_{j<=order} (sign*lam)^j Sigma^j s / j!.
 
-    Each order costs one more Sigma application than the one before it, and
-    a caller that stops early pays only for the orders it took.
+    M, J and lam are checked on the call, before any order is taken.  Each
+    order costs one more Sigma application than the one before it, and a
+    caller that stops early pays only for the orders it took.  Order j's
+    K_trunc is K_trunc - j*M, which may be negative: the caller reports it.
     """
-    ladder = _sigma_ladder(s, cfg)
-    out = next(ladder)
-    yield out
-    powl = 1.0
-    for term in ladder:
-        powl *= cfg.lam
-        out = out.add(term.scale(powl))
-        yield out
+    _check(M, J, lam)
+    ladder = _sigma_ladder(s, M, J)
+    first = next(ladder)  # s itself
+    powers = accumulate(repeat(lam, J), operator.mul)  # lam, lam^2, ... as repeated products
+    return accumulate((term.scale(p) for term, p in zip(ladder, powers)), LogPowerSeries.add, initial=first)
 
 
-def apply_exp_sigma(s: LogPowerSeries, cfg: SigmaConfig) -> LogPowerSeries:
-    """Truncated exponential: sum_j (sign*lam)^j Sigma^j s / j!, j <= exp_order.
+def apply_exp_sigma(s: LogPowerSeries, M: int, J: int, lam: float) -> LogPowerSeries:
+    """Truncated exponential: sum_j (sign*lam)^j Sigma^j s / j!, j <= J.
 
-    lam = 0 returns s itself (the exact identity, truncation order intact).
-    Otherwise the accumulated series is reliable to K_trunc - exp_order*M.
+    lam = 0 returns s itself (the exact identity, truncation order intact),
+    once M and J have been checked.  Otherwise the accumulated series is
+    reliable to K_trunc - J*M.
     """
-    if cfg.lam == 0.0:
+    partial_sums = exp_sigma_partial_sums(s, M, J, lam)
+    if lam == 0.0:
         return s
-    *_, out = exp_sigma_partial_sums(s, cfg)
+    *_, out = partial_sums
     return out
-

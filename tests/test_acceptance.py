@@ -19,7 +19,6 @@ import pytest
 from besselmap import (
     LogPowerSeries,
     a_function,
-    SigmaConfig,
     apply_exp_sigma,
     bessel_j,
     bessel_pair,
@@ -69,7 +68,7 @@ def test_criterion_01_bilinear_neumann_sum():
         "neumann-weighted-sum",
         ok,
         f"max residual {max(residuals):.2e}, tail exponents "
-        f"{[round(a, 3) for a in alphas]}, {elapsed:.2f}s",
+        f"{[round(a, 3) for a in alphas]}, " + ("within 5 s" if elapsed < 5.0 else f"{elapsed:.2f}s"),
     )
     assert all(r < 5e-3 for r in residuals)
     assert all(1.8 <= a <= 2.2 for a in alphas)
@@ -224,7 +223,7 @@ def test_criterion_07_neumann_map_orders():
 
 
 def _mapped_lambda1(series):
-    return lambda_coefficients(series, SigmaConfig(shift_window=12, exp_order=1, lam=1.0))[1]
+    return lambda_coefficients(series, 12, 1)[1]
 
 
 def test_criterion_08_hankel_map_and_recombination():
@@ -276,7 +275,7 @@ def test_criterion_09_unit_shift_trend():
 def test_criterion_10_operator_algebra():
     # (a) zero deformation is the identity
     s = reduced_j_series(1, 14)
-    ident_dist = apply_exp_sigma(s, SigmaConfig(6, 4, lam=0.0)).compare(s, 14)
+    ident_dist = apply_exp_sigma(s, 6, 4, 0.0).compare(s, 14)
 
     # (b) derivative-after-antiderivative round trip on randomized series;
     # the only allowed defect is the final rounding of the coefficient

@@ -71,6 +71,18 @@ def test_eval_pair_functions_from_registry(run_cli):
     assert json.loads(r.stdout)["value_re"] == pytest.approx(0.11389387274953343, rel=1e-9)
 
 
+@pytest.mark.parametrize("fn", ["Z", "A"])
+def test_eval_pair_functions_reject_a_non_integer_order(run_cli, fn):
+    """Z_n and A_n take an integer index; a fractional --order is an error, not truncated."""
+    r = run_cli("--format", "json", "eval", "--fn", fn, "--order", "2.5", "--arg", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: --fn {fn} takes an integer order; got 2.5\n"
+    r = run_cli("--format", "json", "eval", "--fn", fn, "--order", "2", "--arg", "1")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["order"] == 2.0
+
+
 def test_series_json_has_leading_log_coefficient(run_cli):
     r = run_cli("--format", "json", "series", "--family", "N", "--n", "0", "--K", "12")
     payload = json.loads(r.stdout)
@@ -109,11 +121,26 @@ def test_map_is_decided_by_the_series_variable(run_cli, family):
     assert r.returncode == 0
     payload = json.loads(r.stdout)
     s = specfun.FAMILIES[family][0](1, 16)
-    mapped = sigmaop.apply_exp_sigma(s, sigmaop.SigmaConfig(4, 2, lam=0.5))
+    mapped = sigmaop.apply_exp_sigma(s, 4, 2, 0.5)
     assert {k: payload[k] for k in mapped.to_records()} == json.loads(json.dumps(mapped.to_records()))
     assert (payload["variant"], payload["sign"]) == sigmaop.MAP_FOR_TAG[s.variable_tag]
     for flag, value in (("--variant", "z1"), ("--sign", "-1")):
         assert run_cli("map", "--family", family, flag, value).returncode == 2
+
+
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        (("--shift-window", "0"), "shift_window must be >= 1"),
+        (("--exp-order", "-1"), "exp_order must be >= 0"),
+        (("--lambda", "1.5"), "lam must lie in [0, 1]"),
+    ],
+)
+def test_map_rejects_out_of_range_numbers(run_cli, option, message):
+    r = run_cli("--format", "json", "map", "--family", "N", *option)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: {message}\n"
 
 
 def test_check_eq11_passes(run_cli):

@@ -9,7 +9,6 @@ from scipy import special as sp
 
 from besselmap import (
     ReliableOrderExhausted,
-    SigmaConfig,
     apply_exp_sigma,
     check_eq2_roundtrip,
     check_eq3_closure,
@@ -333,8 +332,7 @@ def test_integer_shift_ladder_matches_each_truncated_map(n, t):
     base = neumann_t_series(n, 16)
     target = rep.details["target"]
     for jm, got in zip(rep.params["J_max_list"], rep.observed):
-        cfg = SigmaConfig(shift_window=12, exp_order=jm, lam=1.0)
-        assert got == abs(apply_exp_sigma(base, cfg).evaluate(0.5 * t * t) - target)
+        assert got == abs(apply_exp_sigma(base, 12, jm, 1.0).evaluate(0.5 * t * t) - target)
 
 
 def test_integer_shift_validation():
@@ -344,6 +342,22 @@ def test_integer_shift_validation():
         check_integer_shift(-1)
     with pytest.raises(ValueError, match="J_max_list must not be empty"):
         check_integer_shift(J_max_list=())
+
+
+@pytest.mark.parametrize(
+    "checker,kwargs,name",
+    [
+        (check_eq2_roundtrip, {"nus": ()}, "nus"),
+        (check_eq2_roundtrip, {"zs": ()}, "zs"),
+        (check_eq3_closure, {"nus": ()}, "nus"),
+        (check_eq3_closure, {"zs": ()}, "zs"),
+        (check_eq15_order, {"probes": ()}, "probes"),
+        (check_eq18_order, {"probes": ()}, "probes"),
+    ],
+)
+def test_empty_sequences_are_named(checker, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
+        checker(**kwargs)
 
 
 # ---------------------------------------------------------------------------
