@@ -175,11 +175,10 @@ def _bilinear_sums(z: float, t: float, N: int):
 
 
 def _bilinear_prelude(z: float, t: float, N: int) -> tuple[float, str]:
-    """Validate a bilinear check's inputs; return its target and notes."""
+    """Check what only a bilinear check guards (``log_reduced_j`` guards z >= 0);
+    return its target and notes."""
     if N < 10:
         raise ValueError("N must be >= 10")
-    if z < 0:
-        raise ValueError("z must be >= 0")
     if z == t:
         raise ValueError("singular input: z == t")
     notes = ""
@@ -271,8 +270,6 @@ def check_eq3prime_order(n: int = 0, j: int = 1, K: int = 16, M: int = 12) -> Id
     """
     if K < 8:
         raise ValueError("K must be >= 8")
-    if M > K:
-        raise ValueError("M must be <= K")
     base = reduced_j_series(n, K)
     params = {"n": n, "j": j, "K": K, "M": M}
     if j == 2:
@@ -282,7 +279,7 @@ def check_eq3prime_order(n: int = 0, j: int = 1, K: int = 16, M: int = 12) -> Id
     target = _reduced_j_lambda1_series(n, K)
     distances = [abs(entry.coefficient(k, 0) - target.coefficient(k, 0)) for k in range(order + 1)]
     residual = entry.compare(target, order)
-    return IdentityReport("EQ3P_ORDER_J", params, distances, residual, 0.0, 1e-10, {"compared_order": order})
+    return IdentityReport("EQ3P_ORDER_J", params, distances, residual, 0.0, 1e-10, {"reliable_order": order})
 
 
 def check_eq15_order(
@@ -313,8 +310,6 @@ def check_integer_shift(
     """Unit-deformation diagnostic: |exp(Sigma_t)[t^n N_n](t) - t^(n+1) N_(n+1)(t)|
     for each exponential order.  The verdict is a trend statement (last residual
     at most half of the first), not a convergence assertion."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if not 0.0 < t <= 2.0:
         raise ValueError("t must lie in (0, 2]")
     base = neumann_t_series(n, K)

@@ -28,8 +28,8 @@ series unvalidated.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -79,20 +79,14 @@ class EvalResult:
 # psi at positive integers
 # ---------------------------------------------------------------------------
 
-# _PSI[m - 1] = psi(m) = -Euler's constant + H_(m-1) (DLMF 5.4.14), built by
-# one running sum psi(m + 1) = psi(m) + 1/m and grown on demand by _psi_table.
-# Each new entry reads the last one, so growth holds a lock.
-_PSI = [-0.5772156649015329]
-_PSI_GROWTH = threading.Lock()
-
-
-def _psi_table(m: int) -> list:
-    """_PSI, grown to hold at least psi(1), ..., psi(m)."""
-    if len(_PSI) < m:
-        with _PSI_GROWTH:
-            while len(_PSI) < m:
-                _PSI.append(_PSI[-1] + 1.0 / len(_PSI))
-    return _PSI
+# _PSI[m - 1] = psi(m) = -Euler's constant + H_(m-1) (DLMF 5.4.14), built once
+# by the running sum psi(m + 1) = psi(m) + 1/m.  610 entries are enough:
+# neumann_log_series reads psi(n + k + 1) for k < 600 with n <= 10 (bessel_j
+# guards the order first), and the series builders raise on c_k(n), which
+# needs n + k <= 170, before they read past psi(171).
+_PSI = tuple(
+    accumulate((1.0 / m for m in range(1, int(_MAX_ORDER) + _SERIES_LIMIT)), initial=-0.5772156649015329)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +172,10 @@ def neumann_log_series(n: int, z: float) -> EvalResult:
         total -= addend
         abs_sum += addend
     term = half**n / math.factorial(n)
-    psi = _psi_table(n + _SERIES_LIMIT)
     k = 0
     effort = jn.effort + n
     while k < _SERIES_LIMIT:
-        contrib = term * (psi[k] + psi[n + k]) / math.pi
+        contrib = term * (_PSI[k] + _PSI[n + k]) / math.pi
         total -= contrib
         abs_sum += abs(contrib)
         effort += 1
@@ -351,7 +344,7 @@ def _t_blocks(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     """
     _check_series_order(n, K)
     cs = _bessel_coefficients(n, K - n + 1) * 2.0**n
-    psi = np.array(_psi_table(K + 1)[: K + 1])
+    psi = np.array(_PSI[: K + 1])
     ln2 = math.log(2.0)
     j_block = np.zeros((K + 1, 2), dtype=complex)
     n_block = np.zeros((K + 1, 2), dtype=complex)
@@ -379,8 +372,7 @@ def _reduced_j_lambda1_series(n: int, K: int) -> LogPowerSeries:
     """Closed form of the lam^1 coefficient series of the reduced family,
     d/dlam [J_(n+lam)(z)/z^(n+lam)] at lam = 0: c_k(n) (-psi(n+k+1) - log 2) on u^k."""
     _check_series_order(n, K)
-    psi = np.array(_psi_table(n + K + 1)[n : n + K + 1])
-    block = _bessel_coefficients(n, K + 1) * (-psi - math.log(2.0))
+    block = _bessel_coefficients(n, K + 1) * (-np.array(_PSI[n : n + K + 1]) - math.log(2.0))
     return LogPowerSeries._from_block("u-of-z", 0, K, block.astype(complex)[:, None])
 
 
@@ -429,7 +421,8 @@ def lambda_taylor_target(family: str, n: int, j: int, probe: float) -> complex:
 
     The reducedJ family at j = 1 is its digamma coefficient form, the closed
     lam^1 series that EQ3P compares with.  Every other target is computed by
-    Richardson-combined central differences in the order (steps 1e-3 and 5e-4).
+    Richardson-combined central differences in the order (steps 1e-3 and 5e-4),
+    so those need |n| + 1e-3 <= 10.
     """
     value = FAMILIES.get(family, (None, None))[1]
     if value is None:
@@ -439,14 +432,17 @@ def lambda_taylor_target(family: str, n: int, j: int, probe: float) -> complex:
         raise ValueError("j must be 0, 1 or 2")
     if probe <= 0:
         raise ValueError("probe point must be positive")
+    _check_domain(n, probe)
     if j == 1 and family == "reducedJ":
         # its 64 terms reach rounding level at every probe <= 20
-        _check_domain(n, probe)
         return _reduced_j_lambda1_series(n, 63).evaluate(0.5 * probe * probe)
     f = lambda lam: value(n + lam, probe)
     if j == 0:
         return f(0.0)
     h = 1e-3
+    # the stencil reaches n +/- h; ROADMAP item 2's order jets remove it
+    if abs(n) + h > _MAX_ORDER:
+        raise ValueError(f"n = {n}: the finite-difference step {h:g} in the order leaves |nu| <= {_MAX_ORDER}")
     if j == 1:
         d1 = (f(h) - f(-h)) / (2.0 * h)
         d2 = (f(h / 2) - f(-h / 2)) / h

@@ -235,6 +235,52 @@ def test_domain_error_exit_two(run_cli):
     assert r.stderr == "error: A_99(0.5): Mho(x)^99 leaves the float range at a quadrature node\n"
 
 
+_EXHAUSTED = (sigmaop.ReliableOrderExhausted, "K = 10 cannot support 1 Sigma applications at window M = 12")
+_NEGATIVE_N = (ValueError, "n must be >= 0 (use the reflection N_{-n} = (-1)^n N_n)")
+_NEGATIVE_Z = (ValueError, "z must be >= 0")
+
+
+@pytest.mark.parametrize(
+    "identity_id, kwargs, error",
+    [
+        ("EQ3P_ORDER_J", {"n": 0, "j": 1, "K": 10, "M": 12}, _EXHAUSTED),
+        ("EQ15_ORDER_J", {"n": 0, "j": 1, "K": 10, "M": 12}, _EXHAUSTED),
+        ("EQ18_ORDER_J", {"n": 0, "j": 1, "K": 10, "M": 12}, _EXHAUSTED),
+        ("EQ17_SHIFT", {"n": -1}, _NEGATIVE_N),
+        ("EQ11_SUM", {"z": -0.5, "t": 2.0}, _NEGATIVE_Z),
+        ("EQ9_REAL", {"z": -0.5, "t": 2.0}, _NEGATIVE_Z),
+    ],
+)
+def test_checkers_raise_their_callees_guards(run_cli, identity_id, kwargs, error):
+    """Each condition is guarded once, by the function that uses the value
+    (``lambda_coefficients``, the series builders, ``log_reduced_j``), and
+    raises the same exception through every checker and through ``check``."""
+    exc_type, message = error
+    with pytest.raises(exc_type) as info:
+        identities.CHECKERS[identity_id](**kwargs)
+    assert str(info.value) == message
+    args = [a for key, value in kwargs.items() for a in (f"--{key}", str(value))]
+    r = run_cli("check", "--id", identity_id, *args)
+    assert r.returncode == 2
+    assert r.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "identity_id, args",
+    [
+        ("EQ15_ORDER_J", ["--n", "10"]),
+        ("EQ18_ORDER_J", ["--n", "10"]),
+        ("EQ3P_ORDER_J", ["--n", "10", "--j", "2", "--K", "26"]),
+    ],
+)
+def test_check_at_order_bound_names_the_stencil(run_cli, identity_id, args):
+    """At n = 10 a finite-difference target needs orders 10 +/- 1e-3; the error
+    names n and the step, not an order the user never passed."""
+    r = run_cli("check", "--id", identity_id, *args)
+    assert r.returncode == 2
+    assert r.stderr == "error: n = 10: the finite-difference step 0.001 in the order leaves |nu| <= 10.0\n"
+
+
 def test_eval_negative_order_in_scientific_notation(run_cli):
     r = run_cli("--format", "json", "eval", "--fn", "N", "--order", "-6.4e-09", "--arg", "1")
     assert r.returncode == 0

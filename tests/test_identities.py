@@ -222,7 +222,7 @@ def test_eq3prime_first_order_report_contract():
     rep = check_eq3prime_order(0, 1)
     assert rep.identity_id == "EQ3P_ORDER_J"
     assert rep.params == {"n": 0, "j": 1, "K": 16, "M": 12}
-    assert rep.details["compared_order"] == 4
+    assert rep.details["reliable_order"] == 4
     assert len(rep.observed) == 5
     assert rep.residual == max(rep.observed)
     assert rep.verdict == ("pass" if rep.residual <= rep.tolerance else "fail")

@@ -2,8 +2,6 @@
 
 import math
 import random
-import sys
-import threading
 
 import pytest
 from scipy import special as sp
@@ -24,8 +22,8 @@ from besselmap import (
 )
 from besselmap.logseries import LogPowerSeries
 from besselmap.specfun import (
+    _PSI,
     _halfline_quadrature,
-    _psi_table,
     _reduced_j_lambda1_series,
     log_reduced_j,
     neumann_scaled_table,
@@ -44,41 +42,24 @@ def test_digamma_at_one_independent_oracle():
     N = 100_000
     h = sum(1.0 / k for k in range(1, N + 1))
     gamma_oracle = h - math.log(N) - 0.5 / N + 1.0 / (12.0 * N * N)
-    assert _psi_table(1)[0] == pytest.approx(-gamma_oracle, abs=1e-12)
+    assert _PSI[0] == pytest.approx(-gamma_oracle, abs=1e-12)
 
 
 def test_psi_table_matches_mpmath_through_growth():
-    """_PSI[m - 1] = psi(m) = -gamma + H_(m-1) at m = 1..700.  The logarithmic
-    series grows the table to n + 600 <= 610 entries, so 700 takes it past
-    that, and growing leaves the entries already there as they were."""
+    """_PSI[m - 1] = psi(m) = -gamma + H_(m-1) at m = 1..610: the running sum
+    grows to every entry the logarithmic series can read (n + 600 <= 610)."""
     mpmath = pytest.importorskip("mpmath")
-    before = list(_psi_table(610))
-    values = _psi_table(700)[:700]
-    assert values[:610] == before
-    for m, v in enumerate(values, start=1):
+    assert len(_PSI) == 610
+    for m, v in enumerate(_PSI, start=1):
         with mpmath.workdps(30):
             ref = float(mpmath.digamma(m))
         assert abs(v - ref) <= 2e-15 * abs(ref), m
 
 
-def test_psi_table_grows_consistently_under_threads():
-    """Eight threads grow the table at once; every entry must still be the one
-    running sum, psi(m + 1) = psi(m) + 1/m bit for bit."""
-    top = len(_psi_table(1)) + 20_000
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=_psi_table, args=(top - 100 * i,)) for i in range(8)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(th.is_alive() for th in threads)
-    table = _psi_table(top)
-    assert len(table) == top
-    assert all(table[m] == table[m - 1] + 1.0 / m for m in range(1, top))
+def test_psi_table_is_one_running_sum():
+    """Every entry is the one running sum, psi(m + 1) = psi(m) + 1/m bit for bit."""
+    assert isinstance(_PSI, tuple)
+    assert all(_PSI[m] == _PSI[m - 1] + 1.0 / m for m in range(1, len(_PSI)))
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +611,20 @@ def test_lambda_target_validation():
         lambda_taylor_target("N", 0, 1, -1.0)
     with pytest.raises(ValueError):
         lambda_taylor_target("reducedJ", 0, 1, 25.0)  # the closed form is summed to probe 20
+    with pytest.raises(ValueError, match=r"\|nu\| = 11 outside"):
+        lambda_taylor_target("N", 11, 1, 1.0)  # one domain guard for every family
+
+
+def test_lambda_target_at_order_bound():
+    """The finite-difference stencil at |n| = 10 would leave the order range: it
+    raises an error that names n and the step.  The closed-form reducedJ target
+    and the j = 0 value need no stencil and still evaluate there."""
+    for family, n, j in (("N", 10, 1), ("H1", -10, 1), ("H2", 10, 2), ("reducedJ", 10, 2)):
+        with pytest.raises(ValueError, match=rf"^n = {n}: the finite-difference step 0\.001 in the order"):
+            lambda_taylor_target(family, n, j, 1.0)
+    got = lambda_taylor_target("reducedJ", 10, 1, 1.0)
+    assert got == _reduced_j_lambda1_series(10, 63).evaluate(0.5)
+    assert lambda_taylor_target("N", 10, 0, 1.0) == neumann(10.0, 1.0).value
 
 
 # ---------------------------------------------------------------------------
