@@ -10,6 +10,13 @@ spectrally accurate for integrands analytic in a neighbourhood of the
 circle.  A_n is computed by the half-line trapezoid that also gives the K
 functions (``specfun._halfline_quadrature``).
 
+``bilinear_check`` needs every Z_n and A_n for n = -N..N, and the orders
+share their nodes: each order is a lane of the one contour sampler and of
+the one half-line trapezoid, which sample exp(-z^2 Omega(tau) + tau/2) and
+exp(-t^2 x - Mho(x)/2) once per node count.  A lane keeps its own stopping,
+divergence, budget and overflow rules, so each term has the bits of its
+single ``z_function`` or ``a_function`` call.
+
 Sign convention: both exponents are taken decaying (-z^2 Omega and -t^2 x).
 With the growing t-exponent the half-line integral does not exist for real
 t, so the decaying form is the computable one; every bilinear report records
@@ -78,40 +85,73 @@ def bessel_pair(radius: float = 1.0, nodes: int = 256) -> GeneratingPair:
 PAIRS: dict[str, Callable[[], GeneratingPair]] = {"bessel": bessel_pair}
 
 
-def _contour_sum(pair: GeneratingPair, n: int, z: float, nodes: int) -> complex:
+def _contour_sums(pair: GeneratingPair, ns: list, z: float, nodes: int) -> list[complex]:
+    """The trapezoid means on |tau| = r at ``nodes`` nodes, one per n in ns.
+
+    exp(-z^2 Omega(tau) + tau/2) is sampled once; each n multiplies it by its own
+    tau^(-n), so each mean has the bits of a sampler run for that n alone.
+    """
     r = pair.contour_radius
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     tau = r * np.exp(1j * theta)
-    vals = np.exp(-z * z * pair.omega(tau) + tau / 2.0) * tau ** (-n)
-    return complex(vals.mean())
+    base = np.exp(-z * z * pair.omega(tau) + tau / 2.0)
+    return [complex((base * tau ** (-n)).mean()) for n in ns]
+
+
+def _z_lanes(pair: GeneratingPair, ns: list, z: float) -> list:
+    """Z_n(z) for every n in ns, one lane per n on shared node counts.
+
+    A lane's value is taken at a node count once the doubled grid confirms it,
+    and the node-doubling difference is its error estimate; each lane stops at
+    its own doubling.  The result holds each lane's EvalResult, or the
+    ArithmeticError of a lane that does not converge within the node budget.
+    """
+    for n in ns:
+        if not float(n).is_integer():
+            raise ValueError(f"Z_n needs an integer n (a closed contour defines no other); got n = {n}")
+    nodes = pair.contour_nodes
+    cur = _contour_sums(pair, ns, z, nodes)
+    out: list = [None] * len(ns)
+    live = list(range(len(ns)))
+    while live:
+        nxt = _contour_sums(pair, [ns[i] for i in live], z, 2 * nodes)
+        going = []
+        for i, v in zip(live, nxt):
+            err = abs(v - cur[i])
+            if not (err <= 1e-13 * max(abs(v), 1.0) or 2 * nodes >= _CONTOUR_BUDGET):
+                cur[i] = v
+                going.append(i)
+            elif err > 1e-10 * max(abs(cur[i]), 1.0):
+                out[i] = ArithmeticError(
+                    f"Z_{ns[i]}({z}) did not converge within the contour node budget (delta {err:.3e})"
+                )
+            else:
+                out[i] = EvalResult(_real_if_close(cur[i]), err, nodes)
+        live = going
+        nodes *= 2
+    return out
 
 
 def z_function(pair: GeneratingPair, n: int, z: float) -> EvalResult:
-    """Z_n(z) by the trapezoidal rule on |tau| = r.
+    """Z_n(z) by the trapezoidal rule on |tau| = r, for integer n.
 
     The value is taken at the configured node count once a doubled grid
     confirms it; the node-doubling difference is the error estimate.
     """
-    nodes = pair.contour_nodes
-    cur = _contour_sum(pair, n, z, nodes)
-    while True:
-        nxt = _contour_sum(pair, n, z, 2 * nodes)
-        err = abs(nxt - cur)
-        if err <= 1e-13 * max(abs(nxt), 1.0) or 2 * nodes >= _CONTOUR_BUDGET:
-            break
-        nodes *= 2
-        cur = nxt
-    if err > 1e-10 * max(abs(cur), 1.0):
-        raise ArithmeticError(
-            f"Z_{n}({z}) did not converge within the contour node budget (delta {err:.3e})"
-        )
-    return EvalResult(_real_if_close(cur), err, nodes)
+    (r,) = _z_lanes(pair, [n], z)
+    if isinstance(r, Exception):
+        raise r
+    return r
 
 
 def _real_if_close(v: complex) -> complex:
     if abs(v.imag) <= 1e-13 * max(abs(v.real), 1.0):
         return complex(v.real, 0.0)
     return v
+
+
+def _a_overflow(n, t: float) -> ArithmeticError:
+    return ArithmeticError(f"A_{n}({t}): Mho(x)^{n} leaves the float range at a quadrature node")
 
 
 def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
@@ -136,8 +176,47 @@ def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
     try:
         val, err, nodes = _halfline_quadrature(g)
     except OverflowError:
-        raise ArithmeticError(f"A_{n}({t}): Mho(x)^{n} leaves the float range at a quadrature node") from None
+        raise _a_overflow(n, t) from None
     return EvalResult(val, err, nodes)
+
+
+def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
+    """A_n(t) for every n in ns from one half-line trapezoid, one lane
+    per n: each node samples exp(-t^2 x - Mho(x)/2) once, and each lane takes
+    its power Mho(x)^n by Python's pow, as ``a_function`` does.  The result
+    holds each lane's EvalResult, or the ArithmeticError ``a_function`` raises
+    for that n."""
+    if t <= 0:
+        return [ValueError("t must be positive")] * len(ns)
+    t2 = t * t
+    mho = pair.inverse
+    below = np.zeros(len(ns))
+    exponents = [float(n) for n in ns]  # m**n converts an int n to this float itself
+
+    def power(m: float, n: float) -> float:
+        try:
+            return m**n
+        except OverflowError:
+            return math.inf
+
+    def g(x: float) -> np.ndarray:
+        m = mho(x)
+        expo = -t2 * x - 0.5 * m
+        if expo < -700.0:
+            return below
+        e = math.exp(expo)
+        try:
+            powers = [m**n for n in exponents]
+        except OverflowError:
+            powers = [power(m, n) for n in exponents]
+        return np.array(powers) * e * x  # (m^n e) x: a_function's products, in its order
+
+    out = []
+    for n, r in zip(ns, _halfline_quadrature(g)):
+        if isinstance(r, OverflowError):
+            r = _a_overflow(n, t)
+        out.append(r if isinstance(r, Exception) else EvalResult(*r))
+    return out
 
 
 def _symmetric_partials(terms: np.ndarray, N: int) -> list[float]:
@@ -177,6 +256,10 @@ def bilinear_check(pair: GeneratingPair, z: float, t: float, N: int) -> dict:
     -1/(t^2-z^2) carried by the bilinear identity in its original
     convention, and a tail exponent fitted over the last decade of terms.
 
+    Every Z_n and A_n comes from one set of samples per node count, one lane
+    per n, with the bits of its single call; where a single call raises, the
+    check raises the first such error, n ascending and Z_n before A_n.
+
     The engine multiplies raw quadrature values.  Z_n decays factorially
     while A_n grows factorially, so beyond |n| of roughly a dozen the
     product is dominated by the quadrature noise floor of Z_n amplified
@@ -187,12 +270,15 @@ def bilinear_check(pair: GeneratingPair, z: float, t: float, N: int) -> dict:
         raise ValueError("N must be >= 1")
     if z == t:
         raise ValueError("singular input: z == t")
+    ns = list(range(-N, N + 1))
     terms = np.empty(2 * N + 1)
     effort = 0
     noise = 0.0
-    for n in range(-N, N + 1):
-        zr = z_function(pair, n, z)
-        ar = a_function(pair, n, t)
+    for n, zr, ar in zip(ns, _z_lanes(pair, ns, z), _a_lanes(pair, ns, t)):
+        # the first failure in the order of single calls: n ascending, Z_n before A_n
+        for r in (zr, ar):
+            if isinstance(r, Exception):
+                raise r
         terms[n + N] = (zr.value * ar.value).real
         noise += zr.err_estimate * abs(ar.value) + abs(zr.value) * ar.err_estimate
         effort += zr.effort + ar.effort

@@ -245,7 +245,7 @@ _HALFLINE_WINDOW = 12.0  # |w| range of the trapezoid
 _HALFLINE_REL_TARGET = 1e-12  # node doubling stops at this relative change
 
 
-def _halfline_quadrature(g) -> tuple[float, float, int]:
+def _halfline_quadrature(g):
     """Trapezoid in w for the integral of g(e^w) dw over the real line.
 
     The caller folds the e^w jacobian into g.  After the substitution
@@ -255,38 +255,66 @@ def _halfline_quadrature(g) -> tuple[float, float, int]:
     (value, err, nodes).  err is the last doubling's change plus the
     summation's rounding, eps * nodes * |value|, which bounds it because
     every integrand here is positive.  Growth by more than 4x on two
-    doublings is divergence and raises, as does exhausting the node budget.
+    doublings is divergence and raises, as does exhausting the node budget;
+    a sum that leaves the float range raises OverflowError.
+
+    g returns a float, or an array with one entry per lane (several
+    integrands sampled at the same nodes).  Every lane sums its nodes in the
+    float order and stops on its own test, as ``log_reduced_j``'s lanes do,
+    so a lane has the bits of its float integrand alone; a lane integrand
+    puts inf where the float one would raise OverflowError.  For lanes the
+    result is a list with each lane's (value, err, nodes), or the exception
+    its float run raises, which the caller raises in its own order.
     """
 
-    def sample(h: float) -> tuple[float, int]:
+    def sample(h: float):
         total = g(1.0)  # w = 0
         count = 1
         w = h
         while w <= _HALFLINE_WINDOW:
-            total += g(math.exp(w))
-            total += g(math.exp(-w))
+            total = total + g(math.exp(w))  # not +=: a lane array from g is not ours
+            total = total + g(math.exp(-w))
             count += 2
             w += h
         return total * h, count
 
-    prev, nodes = sample(0.5)
+    first, nodes = sample(0.5)
+    lanes = isinstance(first, np.ndarray)
+    prev = first.tolist() if lanes else [first]
+    growth = [0] * len(prev)
+    err = [math.inf] * len(prev)
+    out: list = [None] * len(prev)
+    live = range(len(prev))
     h = 0.25
-    growth = 0
-    err = math.inf
-    while nodes < _NODE_BUDGET:
-        cur, nodes = sample(h)
-        err = abs(cur - prev)
-        if err <= _HALFLINE_REL_TARGET * max(abs(cur), 1e-300):
-            return cur, err + _EPS * nodes * abs(cur), nodes
-        if abs(cur) > 4.0 * abs(prev) + 1.0:
-            growth += 1
-            if growth >= 2:
-                raise ArithmeticError("half-line quadrature diverges under node doubling")
-        prev = cur
+    while live and nodes < _NODE_BUDGET:
+        total, nodes = sample(h)
+        cur = total.tolist() if lanes else [total]
+        going = []
+        for i in live:
+            c = cur[i]
+            err[i] = abs(c - prev[i])
+            grows = abs(c) > 4.0 * abs(prev[i]) + 1.0
+            if not math.isfinite(c):
+                out[i] = OverflowError("half-line quadrature sum leaves the float range")
+            elif err[i] <= _HALFLINE_REL_TARGET * max(abs(c), 1e-300):
+                out[i] = (c, err[i] + _EPS * nodes * abs(c), nodes)
+            elif grows and growth[i]:
+                out[i] = ArithmeticError("half-line quadrature diverges under node doubling")
+            else:
+                growth[i] += grows
+                prev[i] = c
+                going.append(i)
+        live = going
         h *= 0.5
-    raise ArithmeticError(
-        f"half-line quadrature failed to stabilize within {_NODE_BUDGET} nodes (last delta {err:.3e})"
-    )
+    for i in live:
+        out[i] = ArithmeticError(
+            f"half-line quadrature failed to stabilize within {_NODE_BUDGET} nodes (last delta {err[i]:.3e})"
+        )
+    if lanes:
+        return out
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
 
 
 def k_bessel(nu: float, t: float) -> EvalResult:

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy import special as sp
 
 from besselmap import a_function, bessel_pair, bilinear_check, k_bessel, z_function
-from besselmap.sonine import GeneratingPair, PAIRS, _contour_sum
+from besselmap.sonine import GeneratingPair, PAIRS, _contour_sums, _symmetric_partials, _tail_fit
+from besselmap.specfun import _halfline_quadrature
 
 
 def test_pair_registry():
@@ -75,13 +77,28 @@ def test_z_function_radius_independence():
 
 def test_contour_node_doubling_is_geometric():
     pair = bessel_pair()
-    ref = _contour_sum(pair, 0, 1.0, 512)
-    errs = [abs(_contour_sum(pair, 0, 1.0, nodes) - ref) for nodes in (4, 8, 16)]
+    ref = _contour_sums(pair, [0], 1.0, 512)[0]
+    errs = [abs(_contour_sums(pair, [0], 1.0, nodes)[0] - ref) for nodes in (4, 8, 16)]
     # spectral accuracy: each doubling shrinks the error by far more than 10x
     # until the rounding floor is reached
     assert errs[1] < max(0.1 * errs[0], 1e-15)
     assert errs[2] < max(0.1 * errs[1], 1e-15)
     assert errs[2] < 1e-15
+
+
+@pytest.mark.parametrize("n", [2.5, 1.0000001])
+def test_z_function_rejects_a_non_integer_order(n):
+    # a closed contour defines Z_n only for integer n; near an integer the
+    # trapezoid would return a number whose estimate does not bound its error
+    with pytest.raises(ValueError, match=f"got n = {n}$"):
+        z_function(bessel_pair(), n, 1.0)
+
+
+def test_a_function_takes_a_real_order():
+    # A_1.5(2) = 2^0.5 K_0.5(2)
+    assert a_function(bessel_pair(), 1.5, 2.0).value == pytest.approx(
+        math.sqrt(2.0) * float(sp.kv(0.5, 2.0)), rel=1e-12
+    )
 
 
 def test_a_function_identifies_with_k():
@@ -109,6 +126,65 @@ def test_a_function_overflow_is_a_clear_error():
         a_function(bessel_pair(), 99, 0.5)
     with pytest.raises(ArithmeticError, match=r"^A_-83\(0\.5\): "):
         bilinear_check(bessel_pair(), 0.05, 0.5, 83)
+
+
+def test_bilinear_raises_the_first_single_call_error():
+    # n ascending, Z_n before A_n: Z_-10(15) fails before any A is looked at
+    with pytest.raises(ArithmeticError, match=r"^Z_-10\(15\.0\) did not converge"):
+        bilinear_check(bessel_pair(), 15.0, 16.0, 10)
+    with pytest.raises(ValueError, match="^t must be positive$"):
+        bilinear_check(bessel_pair(), 0.5, -1.0, 10)
+
+
+def _bilinear_reference(pair, z, t, N):
+    """The terms, noise and effort from single calls, one n at a time."""
+    terms = np.empty(2 * N + 1)
+    noise = 0.0
+    effort = 0
+    for n in range(-N, N + 1):
+        zr = z_function(pair, n, z)
+        ar = a_function(pair, n, t)
+        terms[n + N] = (zr.value * ar.value).real
+        noise += zr.err_estimate * abs(ar.value) + abs(zr.value) * ar.err_estimate
+        effort += zr.effort + ar.effort
+    return terms, noise, effort
+
+
+@pytest.mark.parametrize("z, t, N", [(0.0, 2.0, 12), (0.5, 2.0, 40), (3.0, 2.0, 15), (0.05, 0.5, 25)])
+def test_bilinear_lanes_equal_single_calls(z, t, N):
+    pair = bessel_pair()
+    rec = bilinear_check(pair, z, t, N)
+    terms, noise, effort = _bilinear_reference(pair, z, t, N)
+    assert rec["partials"] == _symmetric_partials(terms, N)
+    assert rec["noise_estimate"] == noise
+    assert rec["effort"] == effort
+    assert rec["tail_exponent"] == _tail_fit(terms, N)[0]
+
+
+def _gaussian_in_w(a):
+    # exp(-a w^2) at x = e^w: the wider it is, the fewer doublings it needs
+    return lambda x: math.exp(-a * math.log(x) ** 2)
+
+
+def test_halfline_lanes_equal_their_float_runs():
+    fns = [_gaussian_in_w(a) for a in (1.0, 100.0, 10.0)]
+    lanes = _halfline_quadrature(lambda x: np.array([f(x) for f in fns]))
+    assert lanes == [_halfline_quadrature(f) for f in fns]
+    assert [nodes for _, _, nodes in lanes] == [97, 1537, 385]  # each stops at its own doubling
+
+
+def test_halfline_lane_failures_stay_in_their_lane():
+    good = _gaussian_in_w(100.0)
+
+    def diverging(x):
+        return 0.0 if x == 1.0 else math.log(x) ** -4
+
+    lanes = _halfline_quadrature(lambda x: np.array([good(x), diverging(x), math.inf]))
+    # the diverging lane fails at 193 nodes; the good lane goes on to its own stop
+    assert lanes[0] == _halfline_quadrature(good)
+    with pytest.raises(ArithmeticError, match="diverges"):
+        raise lanes[1]
+    assert isinstance(lanes[2], OverflowError)
 
 
 def test_bilinear_singular_input():
