@@ -12,10 +12,12 @@ functions (``specfun._halfline_quadrature``).
 
 ``bilinear_check`` needs every Z_n and A_n for n = -N..N, and the orders
 share their nodes: each order is a lane of the one contour sampler and of
-the one half-line trapezoid, which sample exp(-z^2 Omega(tau) + tau/2) and
-exp(-t^2 x - Mho(x)/2) once per node count.  A lane keeps its own stopping,
-divergence, budget and overflow rules, so each term has the bits of its
-single ``z_function`` or ``a_function`` call.
+the one half-line trapezoid, which sample exp(-z^2 Omega(tau) + tau/2) once
+per node count and exp(-t^2 x - Mho(x)/2) once per node.  The trapezoid's
+doubling samples only its new odd nodes, and an A lane takes its power
+Mho(x)^n only while it is live.  A lane keeps its own stopping, divergence,
+budget and overflow rules, so each term has the bits of its single
+``z_function`` or ``a_function`` call.
 
 Sign convention: both exponents are taken decaying (-z^2 Omega and -t^2 x).
 With the growing t-exponent the half-line integral does not exist for real
@@ -182,16 +184,17 @@ def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
 
 def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
     """A_n(t) for every n in ns from one half-line trapezoid, one lane
-    per n: each node samples exp(-t^2 x - Mho(x)/2) once, and each lane takes
-    its power Mho(x)^n by Python's pow, as ``a_function`` does.  The result
-    holds each lane's EvalResult, or the ArithmeticError ``a_function`` raises
-    for that n."""
+    per n: each node samples exp(-t^2 x - Mho(x)/2) once, and each lane still
+    live there takes its power Mho(x)^n by Python's pow, as ``a_function``
+    does; a lane that has stopped takes no more powers.  The result holds
+    each lane's EvalResult, or the ArithmeticError ``a_function`` raises for
+    that n."""
     if t <= 0:
         return [ValueError("t must be positive")] * len(ns)
     t2 = t * t
     mho = pair.inverse
-    below = np.zeros(len(ns))
     exponents = [float(n) for n in ns]  # m**n converts an int n to this float itself
+    live = list(range(len(ns)))  # kept by the trapezoid: the lanes it still samples
 
     def power(m: float, n: float) -> float:
         try:
@@ -203,14 +206,15 @@ def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
         m = mho(x)
         expo = -t2 * x - 0.5 * m
         if expo < -700.0:
-            return below
+            return np.zeros(len(live))
         e = math.exp(expo)
         try:
-            powers = [m**n for n in exponents]
+            powers = [m ** exponents[i] for i in live]
         except OverflowError:
-            powers = [power(m, n) for n in exponents]
+            powers = [power(m, exponents[i]) for i in live]
         return np.array(powers) * e * x  # (m^n e) x: a_function's products, in its order
 
+    g.live = live
     out = []
     for n, r in zip(ns, _halfline_quadrature(g)):
         if isinstance(r, OverflowError):

@@ -11,7 +11,8 @@ The evaluators are deliberately series/quadrature based and self-contained:
 * ``hankel``     -- J +/- i N.
 * ``k_bessel`` -- the half-line trapezoid (shared with
   ``sonine.a_function``) after an exponential substitution that makes the integrand decay
-  double-exponentially at both ends, with node doubling until stabilization.
+  double-exponentially at both ends, with nested node doubling until stabilization:
+  each doubling samples only its new odd nodes, and a lane only while it is live.
 * ``log_reduced_j`` / ``neumann_scaled_table`` -- (signs, logs) arrays of
   J_m(z)/z^m and t^m N_m(t) for every order m = 0..max, for sums whose
   factors overflow or underflow double precision.
@@ -251,47 +252,62 @@ def _halfline_quadrature(g):
     The caller folds the e^w jacobian into g.  After the substitution
     x = e^w the integrands used here decay double-exponentially in both
     directions, so plain trapezoid converges geometrically under node
-    doubling (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  Returns
-    (value, err, nodes).  err is the last doubling's change plus the
-    summation's rounding, eps * nodes * |value|, which bounds it because
-    every integrand here is positive.  Growth by more than 4x on two
-    doublings is divergence and raises, as does exhausting the node budget;
-    a sum that leaves the float range raises OverflowError.
+    doubling (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  The doubling
+    is nested: the first level samples w = 0, +/-0.5, ..., +/-12, and each
+    later one samples only its new odd nodes and adds them to the running
+    sum, S(h) = S(2h)/2 + h * sum(new nodes), so every node is sampled once.
+    A new level starts while fewer than 16384 nodes have been taken, so the
+    last level has 24577.  Returns (value, err, nodes).  err is the last
+    doubling's change plus the summation's rounding, eps * nodes * |value|,
+    which bounds it because every integrand here is positive.  Growth by
+    more than 4x on two doublings is divergence and raises, as does a sum
+    still moving at the last level; a sum that leaves the float range raises
+    OverflowError.
 
     g returns a float, or an array with one entry per lane (several
     integrands sampled at the same nodes).  Every lane sums its nodes in the
     float order and stops on its own test, as ``log_reduced_j``'s lanes do,
     so a lane has the bits of its float integrand alone; a lane integrand
-    puts inf where the float one would raise OverflowError.  For lanes the
+    puts inf where the float one would raise OverflowError.  A lane integrand
+    that has a ``live`` list (initially every lane index) is sampled only
+    while a lane is live: the trapezoid keeps that list equal to the lanes
+    still going, and g returns entries for those lanes alone.  For lanes the
     result is a list with each lane's (value, err, nodes), or the exception
     its float run raises, which the caller raises in its own order.
     """
 
-    def sample(h: float):
-        total = g(1.0)  # w = 0
-        count = 1
-        w = h
+    def add_nodes(total, w: float, step: float):
+        """total plus g at e^w and e^-w for w, w + step, ... within the window, and the nodes added."""
+        count = 0
         while w <= _HALFLINE_WINDOW:
             total = total + g(math.exp(w))  # not +=: a lane array from g is not ours
             total = total + g(math.exp(-w))
             count += 2
-            w += h
-        return total * h, count
+            w += step
+        return total, count
 
-    first, nodes = sample(0.5)
-    lanes = isinstance(first, np.ndarray)
-    prev = first.tolist() if lanes else [first]
-    growth = [0] * len(prev)
-    err = [math.inf] * len(prev)
-    out: list = [None] * len(prev)
-    live = range(len(prev))
-    h = 0.25
+    h = 0.5
+    raw, nodes = add_nodes(g(1.0), h, h)  # w = 0 and the first level
+    nodes += 1
+    lanes = isinstance(raw, np.ndarray)
+    raw = raw.tolist() if lanes else [raw]
+    told = getattr(g, "live", None)  # g's own list: it returns the live lanes only
+    live = told if told is not None else list(range(len(raw)))
+    prev = [r * h for r in raw]
+    growth = [0] * len(raw)
+    err = [math.inf] * len(raw)
+    out: list = [None] * len(raw)
     while live and nodes < _NODE_BUDGET:
-        total, nodes = sample(h)
-        cur = total.tolist() if lanes else [total]
+        h *= 0.5
+        new, count = add_nodes(0.0, h, 2.0 * h)
+        nodes += count
+        new = new.tolist() if lanes else [new]
+        if told is None:
+            new = [new[i] for i in live]
         going = []
-        for i in live:
-            c = cur[i]
+        for i, s in zip(live, new):
+            raw[i] += s
+            c = raw[i] * h
             err[i] = abs(c - prev[i])
             grows = abs(c) > 4.0 * abs(prev[i]) + 1.0
             if not math.isfinite(c):
@@ -304,11 +320,10 @@ def _halfline_quadrature(g):
                 growth[i] += grows
                 prev[i] = c
                 going.append(i)
-        live = going
-        h *= 0.5
+        live[:] = going
     for i in live:
         out[i] = ArithmeticError(
-            f"half-line quadrature failed to stabilize within {_NODE_BUDGET} nodes (last delta {err[i]:.3e})"
+            f"half-line quadrature failed to stabilize within {nodes} nodes (last delta {err[i]:.3e})"
         )
     if lanes:
         return out

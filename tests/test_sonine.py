@@ -173,6 +173,42 @@ def test_halfline_lanes_equal_their_float_runs():
     assert [nodes for _, _, nodes in lanes] == [97, 1537, 385]  # each stops at its own doubling
 
 
+def test_halfline_samples_each_node_once():
+    f = _gaussian_in_w(100.0)
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    _, _, nodes = _halfline_quadrature(g)
+    assert len(calls) == nodes == 1537
+    assert len(set(calls)) == nodes
+
+
+def test_halfline_samples_a_lane_only_while_it_is_live():
+    good = [_gaussian_in_w(a) for a in (1.0, 100.0, 10.0)]
+
+    def diverging(x):
+        return 0.0 if x == 1.0 else math.log(x) ** -4
+
+    fns = good + [diverging]
+    seen = [0] * len(fns)
+
+    def g(x):
+        for i in g.live:
+            seen[i] += 1
+        return np.array([fns[i](x) for i in g.live])
+
+    g.live = list(range(len(fns)))
+    lanes = _halfline_quadrature(g)
+    assert lanes[:3] == [_halfline_quadrature(f) for f in good]
+    assert isinstance(lanes[3], ArithmeticError)
+    # each lane is sampled at its own nodes only: the diverging one fails at 193
+    assert seen == [97, 1537, 385, 193]
+    assert g.live == []
+
+
 def test_halfline_lane_failures_stay_in_their_lane():
     good = _gaussian_in_w(100.0)
 

@@ -427,6 +427,12 @@ def test_halfline_quadrature_raises_on_divergence():
         _halfline_quadrature(lambda x: 0.0 if x == 1.0 else math.log(x) ** -4)
 
 
+def test_k_budget_error_names_the_nodes_sampled():
+    # a new level starts while fewer than 16384 nodes are taken, so the last has 24577
+    with pytest.raises(ArithmeticError, match=r"failed to stabilize within 24577 nodes \(last delta"):
+        k_bessel(0.5, 0.02)
+
+
 def test_k_domain_errors():
     with pytest.raises(ValueError):
         k_bessel(0.5, 0.0)
