@@ -11,7 +11,8 @@ check   run one named identity checker; options left unset take the
         an error (exit 2)
 suite   run the full identity battery; exit 0 only if every verdict passes
 
-Reports serialize as JSON (schema 1), CSV, or text.  Output is fully
+Reports serialize as JSON (schema 1), CSV, or text; CSV is a table of
+identity reports, so only check and suite take it.  Output is fully
 deterministic: identical invocations produce identical bytes, and floats
 round-trip at full precision.
 """
@@ -39,26 +40,27 @@ def _emit(payload, fmt: str, out) -> None:
         out.write(_to_text(payload))
 
 
+# The commands whose output is identity reports, the rows of a CSV table.
+_CSV_COMMANDS = ("check", "suite")
+
+
 def _to_csv(payload) -> str:
     rows = payload if isinstance(payload, list) else [payload]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["identity_id", "residual", "tail_estimate", "tolerance", "verdict", "params", "notes"])
     for rec in rows:
-        if "identity_id" in rec:
-            writer.writerow(
-                [
-                    rec["identity_id"],
-                    repr(rec["residual"]),
-                    repr(rec["tail_estimate"]),
-                    repr(rec["tolerance"]),
-                    rec["verdict"],
-                    json.dumps(rec["params"], sort_keys=True),
-                    rec.get("notes", ""),
-                ]
-            )
-        else:
-            writer.writerow([json.dumps(rec, sort_keys=True)])
+        writer.writerow(
+            [
+                rec["identity_id"],
+                repr(rec["residual"]),
+                repr(rec["tail_estimate"]),
+                repr(rec["tolerance"]),
+                rec["verdict"],
+                json.dumps(rec["params"], sort_keys=True),
+                rec.get("notes", ""),
+            ]
+        )
     return buf.getvalue()
 
 
@@ -248,6 +250,8 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    if args.format == "csv" and args.command not in _CSV_COMMANDS:
+        parser.error(f"--format csv writes identity reports (check, suite); {args.command} has none")
     try:
         payload, code = args.run(args)
     except (ValueError, ArithmeticError) as exc:

@@ -323,14 +323,17 @@ def check_integer_shift(
     partials = exp_sigma_partial_sums(base, M, max(wanted), 1.0)
     # order -> (residual, K_trunc of the partial sum compared)
     compared: dict[int, tuple[float, int]] = {}
-    try:
-        for order, partial in enumerate(partials):
-            if not np.isfinite(partial.coef).all():
-                break  # an overflowed coefficient: this order and every higher one report inf
-            if order in wanted:
-                compared[order] = (abs(partial.evaluate(u) - target), partial.K_trunc)
-    except (ValueError, OverflowError):
-        pass  # this order and every higher one report inf
+    # the ladder is taken lazily in this loop; its overflows are handled
+    # here and reported as inf, so numpy need not warn of them
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for order, partial in enumerate(partials):
+                if not np.isfinite(partial.coef).all():
+                    break  # an overflowed coefficient: this order and every higher one report inf
+                if order in wanted:
+                    compared[order] = (abs(partial.evaluate(u) - target), partial.K_trunc)
+        except (ValueError, OverflowError):
+            pass  # this order and every higher one report inf
     results = [compared.get(int(jm), (math.inf, None)) for jm in J_max_list]
     residuals = [r for r, _ in results]
     tol = residuals[0] / 2.0 if residuals[0] > 0 else 0.0

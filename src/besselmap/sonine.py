@@ -14,10 +14,11 @@ functions (``specfun._halfline_quadrature``).
 share their nodes: each order is a lane of the one contour sampler and of
 the one half-line trapezoid, which sample exp(-z^2 Omega(tau) + tau/2) once
 per node count and exp(-t^2 x - Mho(x)/2) once per node.  The trapezoid's
-doubling samples only its new odd nodes, and an A lane takes its power
-Mho(x)^n only while it is live.  A lane keeps its own stopping, divergence,
-budget and overflow rules, so each term has the bits of its single
-``z_function`` or ``a_function`` call.
+doubling samples only its new odd nodes, and its integrand sums a whole
+level for the lanes still live, so an A lane takes its power Mho(x)^n only
+while it is live.  A lane keeps its own stopping, divergence, budget and
+overflow rules, and ``z_function`` and ``a_function`` are the one-lane
+cases, so each term has the bits of its single call.
 
 Sign convention: both exponents are taken decaying (-z^2 Omega and -t^2 x).
 With the growing t-exponent the half-line integral does not exist for real
@@ -152,73 +153,58 @@ def _real_if_close(v: complex) -> complex:
     return v
 
 
-def _a_overflow(n, t: float) -> ArithmeticError:
-    return ArithmeticError(f"A_{n}({t}): Mho(x)^{n} leaves the float range at a quadrature node")
-
-
 def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
-    """A_n(t) by half-line quadrature under the decaying-exponent convention.
+    """A_n(t) by half-line quadrature under the decaying-exponent convention,
+    the one-lane case of the A lanes.
 
     Divergence (growth under node doubling), and a power Mho(x)^n that leaves
     the float range at some node, raise ArithmeticError instead of returning
     a number.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    t2 = t * t
-    mho = pair.inverse
-
-    def g(x: float) -> float:
-        m = mho(x)
-        expo = -t2 * x - 0.5 * m
-        if expo < -700.0:
-            return 0.0
-        return math.exp(expo) * m**n * x  # trailing x is the e^w jacobian
-
-    try:
-        val, err, nodes = _halfline_quadrature(g)
-    except OverflowError:
-        raise _a_overflow(n, t) from None
-    return EvalResult(val, err, nodes)
+    (r,) = _a_lanes(pair, [n], t)
+    if isinstance(r, Exception):
+        raise r
+    return r
 
 
 def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
-    """A_n(t) for every n in ns from one half-line trapezoid, one lane
-    per n: each node samples exp(-t^2 x - Mho(x)/2) once, and each lane still
-    live there takes its power Mho(x)^n by Python's pow, as ``a_function``
-    does; a lane that has stopped takes no more powers.  The result holds
-    each lane's EvalResult, or the ArithmeticError ``a_function`` raises for
-    that n."""
+    """A_n(t) for every n in ns from one half-line trapezoid, one lane per n.
+
+    Each level's nodes are sampled once, as (Mho(x), exp(-t^2 x - Mho(x)/2), x),
+    a node whose exponent is below -700 adding nothing; then each live lane
+    sums Mho(x)^n * exp(...) * x over them, the trailing x being the e^w
+    jacobian.  A lane whose power leaves the float range reads inf.  The
+    result holds each lane's EvalResult, or the exception ``a_function``
+    raises for that n.
+    """
     if t <= 0:
         return [ValueError("t must be positive")] * len(ns)
     t2 = t * t
     mho = pair.inverse
-    exponents = [float(n) for n in ns]  # m**n converts an int n to this float itself
-    live = list(range(len(ns)))  # kept by the trapezoid: the lanes it still samples
 
-    def power(m: float, n: float) -> float:
-        try:
-            return m**n
-        except OverflowError:
-            return math.inf
+    def g(xs: list, live: list) -> list:
+        samples = []
+        for x in xs:
+            m = mho(x)
+            expo = -t2 * x - 0.5 * m
+            if not expo < -700.0:  # a NaN exponent is kept, so that its lane shows it
+                samples.append((m, math.exp(expo), x))
+        sums = []
+        for i in live:
+            total = 0.0
+            try:
+                n = float(ns[i])  # m**n converts an int n to this same float
+                for m, e, x in samples:
+                    total += m**n * e * x
+            except OverflowError:
+                total = math.inf
+            sums.append(total)
+        return sums
 
-    def g(x: float) -> np.ndarray:
-        m = mho(x)
-        expo = -t2 * x - 0.5 * m
-        if expo < -700.0:
-            return np.zeros(len(live))
-        e = math.exp(expo)
-        try:
-            powers = [m ** exponents[i] for i in live]
-        except OverflowError:
-            powers = [power(m, exponents[i]) for i in live]
-        return np.array(powers) * e * x  # (m^n e) x: a_function's products, in its order
-
-    g.live = live
     out = []
-    for n, r in zip(ns, _halfline_quadrature(g)):
+    for n, r in zip(ns, _halfline_quadrature(g, len(ns))):
         if isinstance(r, OverflowError):
-            r = _a_overflow(n, t)
+            r = ArithmeticError(f"A_{n}({t}): Mho(x)^{n} leaves the float range at a quadrature node")
         out.append(r if isinstance(r, Exception) else EvalResult(*r))
     return out
 

@@ -9,10 +9,11 @@ The evaluators are deliberately series/quadrature based and self-contained:
   logarithmic series (``neumann_log_series``, DLMF 10.8.1), with the
   reflection N_-n = (-1)^n N_n.
 * ``hankel``     -- J +/- i N.
-* ``k_bessel`` -- the half-line trapezoid (shared with
+* ``k_bessel`` -- a one-lane run of the half-line trapezoid (shared with
   ``sonine.a_function``) after an exponential substitution that makes the integrand decay
   double-exponentially at both ends, with nested node doubling until stabilization:
-  each doubling samples only its new odd nodes, and a lane only while it is live.
+  each doubling samples only its new odd nodes, and the integrand sums a whole
+  level for the lanes still live.
 * ``log_reduced_j`` / ``neumann_scaled_table`` -- (signs, logs) arrays of
   J_m(z)/z^m and t^m N_m(t) for every order m = 0..max, for sums whose
   factors overflow or underflow double precision.
@@ -246,8 +247,9 @@ _HALFLINE_WINDOW = 12.0  # |w| range of the trapezoid
 _HALFLINE_REL_TARGET = 1e-12  # node doubling stops at this relative change
 
 
-def _halfline_quadrature(g):
-    """Trapezoid in w for the integral of g(e^w) dw over the real line.
+def _halfline_quadrature(g, lanes: int) -> list:
+    """Trapezoid in w for the integral over the real line of each lane of g at
+    x = e^w.
 
     The caller folds the e^w jacobian into g.  After the substitution
     x = e^w the integrands used here decay double-exponentially in both
@@ -257,55 +259,49 @@ def _halfline_quadrature(g):
     later one samples only its new odd nodes and adds them to the running
     sum, S(h) = S(2h)/2 + h * sum(new nodes), so every node is sampled once.
     A new level starts while fewer than 16384 nodes have been taken, so the
-    last level has 24577.  Returns (value, err, nodes).  err is the last
-    doubling's change plus the summation's rounding, eps * nodes * |value|,
-    which bounds it because every integrand here is positive.  Growth by
-    more than 4x on two doublings is divergence and raises, as does a sum
-    still moving at the last level; a sum that leaves the float range raises
-    OverflowError.
+    last level has 24577.
 
-    g returns a float, or an array with one entry per lane (several
-    integrands sampled at the same nodes).  Every lane sums its nodes in the
-    float order and stops on its own test, as ``log_reduced_j``'s lanes do,
-    so a lane has the bits of its float integrand alone; a lane integrand
-    puts inf where the float one would raise OverflowError.  A lane integrand
-    that has a ``live`` list (initially every lane index) is sampled only
-    while a lane is live: the trapezoid keeps that list equal to the lanes
-    still going, and g returns entries for those lanes alone.  For lanes the
-    result is a list with each lane's (value, err, nodes), or the exception
-    its float run raises, which the caller raises in its own order.
+    g has one contract.  For each level it is called once as g(xs, live),
+    with the level's new nodes xs and the indices of the lanes still live,
+    and returns one sum per live lane: that lane's integrand summed over xs
+    in order, starting from 0.0.  A sum that leaves the float range reads
+    inf.  Each lane stops on its own test, as ``log_reduced_j``'s lanes do,
+    so a lane has the bits of its one-lane run.
+
+    The trapezoid raises nothing itself: it returns a list with each lane's
+    (value, err, nodes), or that lane's exception, which the caller raises
+    in its own order.  err is the last doubling's change plus the
+    summation's rounding, eps * nodes * |value|, which bounds it because
+    every integrand here is positive.  Growth by more than 4x on two
+    doublings is divergence and a sum still moving at the last level fails
+    to stabilize, both ArithmeticError; a sum that leaves the float range is
+    OverflowError.
     """
 
-    def add_nodes(total, w: float, step: float):
-        """total plus g at e^w and e^-w for w, w + step, ... within the window, and the nodes added."""
-        count = 0
+    def level(w: float, step: float) -> list:
+        """e^w and e^-w for w, w + step, ... within the window."""
+        xs = []
         while w <= _HALFLINE_WINDOW:
-            total = total + g(math.exp(w))  # not +=: a lane array from g is not ours
-            total = total + g(math.exp(-w))
-            count += 2
+            xs.append(math.exp(w))
+            xs.append(math.exp(-w))
             w += step
-        return total, count
+        return xs
 
     h = 0.5
-    raw, nodes = add_nodes(g(1.0), h, h)  # w = 0 and the first level
-    nodes += 1
-    lanes = isinstance(raw, np.ndarray)
-    raw = raw.tolist() if lanes else [raw]
-    told = getattr(g, "live", None)  # g's own list: it returns the live lanes only
-    live = told if told is not None else list(range(len(raw)))
+    xs = [1.0] + level(h, h)  # w = 0 and the first level
+    nodes = len(xs)
+    live = list(range(lanes))
+    raw = list(g(xs, live))
     prev = [r * h for r in raw]
-    growth = [0] * len(raw)
-    err = [math.inf] * len(raw)
-    out: list = [None] * len(raw)
+    growth = [0] * lanes
+    err = [math.inf] * lanes
+    out: list = [None] * lanes
     while live and nodes < _NODE_BUDGET:
         h *= 0.5
-        new, count = add_nodes(0.0, h, 2.0 * h)
-        nodes += count
-        new = new.tolist() if lanes else [new]
-        if told is None:
-            new = [new[i] for i in live]
+        xs = level(h, 2.0 * h)
+        nodes += len(xs)
         going = []
-        for i, s in zip(live, new):
+        for i, s in zip(live, g(xs, live)):
             raw[i] += s
             c = raw[i] * h
             err[i] = abs(c - prev[i])
@@ -320,20 +316,17 @@ def _halfline_quadrature(g):
                 growth[i] += grows
                 prev[i] = c
                 going.append(i)
-        live[:] = going
+        live = going
     for i in live:
         out[i] = ArithmeticError(
             f"half-line quadrature failed to stabilize within {nodes} nodes (last delta {err[i]:.3e})"
         )
-    if lanes:
-        return out
-    if isinstance(out[0], Exception):
-        raise out[0]
-    return out[0]
+    return out
 
 
 def k_bessel(nu: float, t: float) -> EvalResult:
-    """K_nu(t) from (1/2)(t/2)^nu * integral of exp(-s - t^2/(4s)) s^(-nu-1) ds."""
+    """K_nu(t) from (1/2)(t/2)^nu * integral of exp(-s - t^2/(4s)) s^(-nu-1) ds,
+    a one-lane run of the half-line trapezoid."""
     nu = float(nu)
     t = float(t)
     if t <= 0:
@@ -341,13 +334,18 @@ def k_bessel(nu: float, t: float) -> EvalResult:
     _check_domain(nu, t)
     quart = 0.25 * t * t
 
-    def g(s: float) -> float:
-        expo = -s - quart / s - nu * math.log(s)
-        if expo < -700.0:
-            return 0.0
-        return math.exp(expo)  # includes the e^w jacobian: s^(-nu-1) * s = s^(-nu)
+    def g(xs: list, live: list) -> list:
+        total = 0.0
+        for s in xs:
+            expo = -s - quart / s - nu * math.log(s)
+            if expo >= -700.0:
+                total += math.exp(expo)  # includes the e^w jacobian: s^(-nu-1) * s = s^(-nu)
+        return [total]
 
-    val, err, nodes = _halfline_quadrature(g)
+    (r,) = _halfline_quadrature(g, 1)
+    if isinstance(r, Exception):
+        raise r
+    val, err, nodes = r
     pref = 0.5 * (0.5 * t) ** nu
     return EvalResult(pref * val, pref * err, nodes)
 

@@ -180,6 +180,14 @@ def test_check_rejects_probes_outside_the_protocol_range(run_cli):
     assert r.stderr == "error: probes must lie in (0, 4]\n"
 
 
+def test_check_handled_overflow_writes_nothing_to_stderr():
+    # EQ17's ladder overflows at J_max = 40; the checker reports inf without numpy warnings
+    r = run_cold("--format", "json", "check", "--id", "EQ17_SHIFT", "--jmax-list", "2", "40")
+    assert r.returncode == 1
+    assert r.stderr == ""
+    assert json.loads(r.stdout)["observed"] == [5.085001414992859e26, math.inf]
+
+
 def test_check_failing_identity_exits_one(run_cli):
     r = run_cli("--format", "json", "check", "--id", "EQ3P_ORDER_J", "--n", "0", "--j", "1")
     assert r.returncode == 1
@@ -206,6 +214,21 @@ def test_csv_format(run_cli):
     lines = r.stdout.strip().splitlines()
     assert lines[0].startswith("identity_id,residual")
     assert lines[1].startswith("EQ14_KERNEL,")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval", "--fn", "J", "--order", "0.5", "--arg", "1"),
+        ("series", "--family", "J"),
+        ("map", "--family", "reducedJ"),
+    ],
+)
+def test_csv_format_takes_only_reports(run_cli, args):
+    r = run_cli("--format", "csv", *args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert f"error: --format csv writes identity reports (check, suite); {args[0]} has none" in r.stderr
 
 
 def test_output_file(run_cli, tmp_path):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import warnings
 
 import pytest
 from scipy import special as sp
@@ -322,6 +323,19 @@ def test_integer_shift_trend_report():
     assert rep.residual == rep.observed[-1]
     assert rep.tolerance == rep.observed[0] / 2.0
     assert "trend" in rep.notes
+
+
+def test_integer_shift_reports_an_overflow_as_inf_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a coefficient of the ladder leaves the float range at order 16
+        rep = check_integer_shift(0, J_max_list=(2, 40))
+        assert rep.observed == [5.085001414992859e26, math.inf]
+        assert rep.details["reliable_order"] == [-8, None]
+        # the partial sums stay finite, but evaluating them at t = 0.01 overflows from order 6
+        rep = check_integer_shift(0, t=0.01)
+    assert rep.observed[2:] == [math.inf, math.inf]
+    assert rep.details["reliable_order"][2:] == [None, None]
 
 
 @pytest.mark.parametrize("n,t", [(0, 1.0), (1, 0.6), (2, 1.9)])

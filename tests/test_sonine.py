@@ -8,7 +8,7 @@ from scipy import special as sp
 
 from besselmap import a_function, bessel_pair, bilinear_check, k_bessel, z_function
 from besselmap.sonine import GeneratingPair, PAIRS, _contour_sums, _symmetric_partials, _tail_fit
-from besselmap.specfun import _halfline_quadrature
+from besselmap.specfun import EvalResult, _halfline_quadrature
 
 
 def test_pair_registry():
@@ -166,61 +166,90 @@ def _gaussian_in_w(a):
     return lambda x: math.exp(-a * math.log(x) ** 2)
 
 
-def test_halfline_lanes_equal_their_float_runs():
+def _diverging(x):
+    # 1/w^4 near w = 0: each halving of the node spacing multiplies the sum by ~8
+    return 0.0 if x == 1.0 else math.log(x) ** -4
+
+
+def _lanes(fns):
+    """The trapezoid's integrand for one lane per function: each live lane's
+    function summed over the level's nodes, in order from 0.0."""
+
+    def g(xs, live):
+        sums = []
+        for i in live:
+            total = 0.0
+            for x in xs:
+                total += fns[i](x)
+            sums.append(total)
+        return sums
+
+    return g
+
+
+def _one_lane_run(f):
+    (r,) = _halfline_quadrature(_lanes([f]), 1)
+    return r
+
+
+def test_halfline_lanes_equal_their_one_lane_runs():
     fns = [_gaussian_in_w(a) for a in (1.0, 100.0, 10.0)]
-    lanes = _halfline_quadrature(lambda x: np.array([f(x) for f in fns]))
-    assert lanes == [_halfline_quadrature(f) for f in fns]
+    lanes = _halfline_quadrature(_lanes(fns), len(fns))
+    assert lanes == [_one_lane_run(f) for f in fns]
     assert [nodes for _, _, nodes in lanes] == [97, 1537, 385]  # each stops at its own doubling
 
 
 def test_halfline_samples_each_node_once():
-    f = _gaussian_in_w(100.0)
+    lane = _lanes([_gaussian_in_w(100.0)])
     calls = []
 
-    def g(x):
-        calls.append(x)
-        return f(x)
+    def g(xs, live):
+        calls.extend(xs)
+        return lane(xs, live)
 
-    _, _, nodes = _halfline_quadrature(g)
+    ((_, _, nodes),) = _halfline_quadrature(g, 1)
     assert len(calls) == nodes == 1537
     assert len(set(calls)) == nodes
 
 
 def test_halfline_samples_a_lane_only_while_it_is_live():
     good = [_gaussian_in_w(a) for a in (1.0, 100.0, 10.0)]
-
-    def diverging(x):
-        return 0.0 if x == 1.0 else math.log(x) ** -4
-
-    fns = good + [diverging]
+    fns = good + [_diverging]
+    lanes = _lanes(fns)
     seen = [0] * len(fns)
+    asked = []
 
-    def g(x):
-        for i in g.live:
-            seen[i] += 1
-        return np.array([fns[i](x) for i in g.live])
+    def g(xs, live):
+        asked.append(list(live))
+        for i in live:
+            seen[i] += len(xs)
+        return lanes(xs, live)
 
-    g.live = list(range(len(fns)))
-    lanes = _halfline_quadrature(g)
-    assert lanes[:3] == [_halfline_quadrature(f) for f in good]
-    assert isinstance(lanes[3], ArithmeticError)
+    out = _halfline_quadrature(g, len(fns))
+    assert out[:3] == [_one_lane_run(f) for f in good]
+    assert isinstance(out[3], ArithmeticError)
     # each lane is sampled at its own nodes only: the diverging one fails at 193
     assert seen == [97, 1537, 385, 193]
-    assert g.live == []
+    # no level is sampled once every lane has stopped: the last one asks for
+    # the lane that stops last alone
+    assert all(asked) and asked[-1] == [1]
 
 
 def test_halfline_lane_failures_stay_in_their_lane():
     good = _gaussian_in_w(100.0)
-
-    def diverging(x):
-        return 0.0 if x == 1.0 else math.log(x) ** -4
-
-    lanes = _halfline_quadrature(lambda x: np.array([good(x), diverging(x), math.inf]))
+    lanes = _halfline_quadrature(_lanes([good, _diverging, lambda x: math.inf]), 3)
     # the diverging lane fails at 193 nodes; the good lane goes on to its own stop
-    assert lanes[0] == _halfline_quadrature(good)
+    assert lanes[0] == _one_lane_run(good)
     with pytest.raises(ArithmeticError, match="diverges"):
         raise lanes[1]
     assert isinstance(lanes[2], OverflowError)
+
+
+def test_single_k_and_a_calls_keep_their_bits():
+    assert k_bessel(1.5, 1.0) == EvalResult(0.9221370088957893, 4.0145857714087525e-14, 193)
+    assert k_bessel(7.3, 15.0) == EvalResult(5.33967773924763e-07, 4.6017435591771213e-20, 385)
+    assert a_function(bessel_pair(), 3, 2.0) == EvalResult(1.0150390182642235, 4.7051813673036934e-14, 193)
+    assert a_function(bessel_pair(), -4, 0.7) == EvalResult(13186.12293267438, 1.1272443709752525e-09, 385)
 
 
 def test_bilinear_singular_input():
