@@ -29,7 +29,7 @@ from .identities import (
 )
 from .logseries import LogPowerSeries
 from .sigmaop import ReliableOrderExhausted, apply_exp_sigma, apply_sigma, lambda_coefficients
-from .sonine import GeneratingPair, PAIRS, a_function, bessel_pair, bilinear_check, z_function
+from .sonine import GeneratingPair, a_function, bessel_pair, bilinear_check, z_function
 from .specfun import (
     EvalResult,
     bessel_j,
@@ -39,7 +39,6 @@ from .specfun import (
     k_bessel,
     lambda_taylor_target,
     neumann,
-    neumann_log_series,
     neumann_t_series,
     reduced_j_series,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "GeneratingPair",
     "IdentityReport",
     "LogPowerSeries",
-    "PAIRS",
     "ReliableOrderExhausted",
     "a_function",
     "apply_exp_sigma",
@@ -75,7 +73,6 @@ __all__ = [
     "lambda_coefficients",
     "lambda_taylor_target",
     "neumann",
-    "neumann_log_series",
     "neumann_t_series",
     "reduced_j_series",
     "run_suite",

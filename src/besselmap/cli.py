@@ -96,16 +96,16 @@ def _to_text(payload) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --fn -> evaluator of (order, arg, pair name).  Z and A are the generating
+# --fn -> evaluator of (order, arg).  Z and A are the Bessel generating
 # pair's functions; their order is the integer index n.
 _EVALUATORS = {
-    "J": lambda nu, x, pair: specfun.bessel_j(nu, x),
-    "N": lambda nu, x, pair: specfun.neumann(nu, x),
-    "H1": lambda nu, x, pair: specfun.hankel(1, nu, x),
-    "H2": lambda nu, x, pair: specfun.hankel(2, nu, x),
-    "K": lambda nu, x, pair: specfun.k_bessel(nu, x),
-    "Z": lambda nu, x, pair: sonine.z_function(sonine.PAIRS[pair](), int(nu), x),
-    "A": lambda nu, x, pair: sonine.a_function(sonine.PAIRS[pair](), int(nu), x),
+    "J": lambda nu, x: specfun.bessel_j(nu, x),
+    "N": lambda nu, x: specfun.neumann(nu, x),
+    "H1": lambda nu, x: specfun.hankel(1, nu, x),
+    "H2": lambda nu, x: specfun.hankel(2, nu, x),
+    "K": lambda nu, x: specfun.k_bessel(nu, x),
+    "Z": lambda nu, x: sonine.z_function(sonine.bessel_pair(), int(nu), x),
+    "A": lambda nu, x: sonine.a_function(sonine.bessel_pair(), int(nu), x),
 }
 
 
@@ -113,7 +113,7 @@ def _cmd_eval(args) -> tuple[object, int]:
     fn = args.fn
     if fn in ("Z", "A") and not float(args.order).is_integer():
         raise ValueError(f"--fn {fn} takes an integer order; got {args.order}")
-    r = _EVALUATORS[fn](args.order, args.arg, args.pair)
+    r = _EVALUATORS[fn](args.order, args.arg)
     value = complex(r.value)
     payload = {
         "schema": 1,
@@ -189,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--fn", required=True, choices=_EVALUATORS)
     pe.add_argument("--order", type=float, required=True)
     pe.add_argument("--arg", type=float, required=True)
-    pe.add_argument("--pair", choices=sorted(sonine.PAIRS), default="bessel",
-                    help="generating pair for Z/A (registry name)")
+    pe.add_argument("--pair", choices=("bessel",), default="bessel",
+                    help="generating pair for Z/A; bessel, Omega(tau) = 1/(2 tau), is the one built in")
     pe.set_defaults(run=_cmd_eval)
 
     ps = sub.add_parser("series", help="print a series object")
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.set_defaults(run=_cmd_map)
 
     pc = sub.add_parser("check", help="run one identity checker", argument_default=argparse.SUPPRESS)
-    pc.add_argument("--id", required=True, choices=sorted(identities.IDENTITY_IDS))
+    pc.add_argument("--id", required=True, choices=sorted(identities.CHECKERS))
     options = [
         pc.add_argument("--z", type=float),
         pc.add_argument("--t", type=float),

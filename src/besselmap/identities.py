@@ -95,7 +95,7 @@ class IdentityReport:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if self.identity_id not in IDENTITY_IDS:
+        if self.identity_id not in CHECKERS:
             raise ValueError(f"unknown identity_id {self.identity_id!r}")
         if not (self.residual >= 0 or math.isnan(self.residual)):
             raise ValueError("residual must be >= 0")
@@ -246,17 +246,19 @@ def _probe_report(identity_id: str, params: dict, base: LogPowerSeries, family: 
     entry is the lam^j series of the mapped base series (the integer-order series
     of ``family`` at order n) and target the lam^j Taylor coefficient of the
     family's real-order function.  A probe where the base series itself misses
-    the family's value by more than 1e-6 relative is named in the notes."""
+    the family's value by more than 1e-6 relative is named in the notes, each
+    such probe in the order given."""
     n, j = params["n"], params["j"]
     _nonempty(probes=probes)
     if any(not 0.0 < x <= 4.0 for x in probes):
         raise ValueError("probes must lie in (0, 4]")
     entry = _lambda_entry(base, params["M"], j)
-    notes = ""
+    missed = []
     for x in probes:
         oracle = FAMILIES[family][1](float(n), x)
         if abs(base.evaluate(0.5 * x * x) - oracle) > 1e-6 * max(1.0, abs(oracle)):
-            notes = f"probe t={x} outside series convergence for K={base.K_trunc}"
+            missed.append(f"t={x}")
+    notes = f"probe {', '.join(missed)} outside series convergence for K={base.K_trunc}" if missed else ""
     distances = [abs(entry.evaluate(0.5 * x * x) - lambda_taylor_target(family, n, j, x)) for x in probes]
     details = {"reliable_order": entry.K_trunc}
     return IdentityReport(identity_id, params, distances, max(distances), 0.0, tol, details, notes)
@@ -439,7 +441,6 @@ CHECKERS = {
     "EQ17_SHIFT": check_integer_shift,
     "EQ18_ORDER_J": check_eq18_order,
 }
-IDENTITY_IDS = tuple(CHECKERS)
 
 
 # ---------------------------------------------------------------------------

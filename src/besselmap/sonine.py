@@ -37,16 +37,18 @@ from typing import Callable
 
 import numpy as np
 
-from .specfun import EvalResult, _halfline_quadrature
+from .specfun import _EPS, _MAX_ARG, EvalResult, _halfline_quadrature
 
-__all__ = ["GeneratingPair", "bessel_pair", "z_function", "a_function", "bilinear_check", "PAIRS"]
+__all__ = ["GeneratingPair", "bessel_pair", "z_function", "a_function", "bilinear_check"]
 
+# The contour trapezoid starts at 256 nodes and doubles up to 4096.
+_CONTOUR_NODES = 256
 _CONTOUR_BUDGET = 2**12
 
 
 @dataclass(frozen=True)
 class GeneratingPair:
-    """An (Omega, Mho) pair with its contour parameters.
+    """An (Omega, Mho) pair with its contour radius.
 
     ``omega`` receives the numpy array of all contour nodes at once and
     must act elementwise; the inverse check below also calls it on floats.
@@ -58,38 +60,31 @@ class GeneratingPair:
     omega: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[float], float]
     contour_radius: float = 1.0
-    contour_nodes: int = 256
 
     def __post_init__(self) -> None:
-        if self.contour_radius <= 0:
-            raise ValueError("contour_radius must be positive")
-        n = self.contour_nodes
-        if n < 64 or (n & (n - 1)) != 0:
-            raise ValueError("contour_nodes must be a power of two >= 64")
+        if not 0.0 < self.contour_radius < math.inf:
+            raise ValueError("contour_radius must be positive and finite")
         for x in (0.25, 0.5, 1.0, 2.0, 5.0, 10.0):
             back = self.omega(self.inverse(x))
-            if abs(back - x) > 1e-12:
+            if not abs(back - x) <= 1e-12:
                 raise ValueError(
                     f"inverse check failed for pair {self.name!r}: Omega(Mho({x})) = {back}"
                 )
 
 
-def bessel_pair(radius: float = 1.0, nodes: int = 256) -> GeneratingPair:
+def bessel_pair(radius: float = 1.0) -> GeneratingPair:
     """The pair Omega(tau) = 1/(2 tau), Mho(x) = 1/(2 x)."""
     return GeneratingPair(
         name="bessel",
         omega=lambda tau: 1.0 / (2.0 * tau),
         inverse=lambda x: 1.0 / (2.0 * x),
         contour_radius=radius,
-        contour_nodes=nodes,
     )
 
 
-PAIRS: dict[str, Callable[[], GeneratingPair]] = {"bessel": bessel_pair}
-
-
-def _contour_sums(pair: GeneratingPair, ns: list, z: float, nodes: int) -> list[complex]:
-    """The trapezoid means on |tau| = r at ``nodes`` nodes, one per n in ns.
+def _contour_sums(pair: GeneratingPair, ns: list, z: float, nodes: int) -> tuple[list[complex], np.ndarray]:
+    """The trapezoid means on |tau| = r at ``nodes`` nodes, one per n in ns, and
+    the samples of exp(-z^2 Omega(tau) + tau/2) they share.
 
     exp(-z^2 Omega(tau) + tau/2) is sampled once; each n multiplies it by its own
     tau^(-n), so each mean has the bits of a sampler run for that n alone.
@@ -98,26 +93,45 @@ def _contour_sums(pair: GeneratingPair, ns: list, z: float, nodes: int) -> list[
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     tau = r * np.exp(1j * theta)
     base = np.exp(-z * z * pair.omega(tau) + tau / 2.0)
-    return [complex((base * tau ** (-n)).mean()) for n in ns]
+    return [complex((base * tau ** (-n)).mean()) for n in ns], base
 
 
 def _z_lanes(pair: GeneratingPair, ns: list, z: float) -> list:
     """Z_n(z) for every n in ns, one lane per n on shared node counts.
 
-    A lane's value is taken at a node count once the doubled grid confirms it,
-    and the node-doubling difference is its error estimate; each lane stops at
-    its own doubling.  The result holds each lane's EvalResult, or the
-    ArithmeticError of a lane that does not converge within the node budget.
+    A lane's value is taken at a node count once the doubled grid confirms it;
+    each lane stops at its own doubling.  The result holds each lane's
+    EvalResult, or the ArithmeticError of a lane that does not converge within
+    the node budget.
+
+    The error estimate is the node-doubling difference plus the rounding
+    floor of the mean, which the difference does not see: the samples
+    s_j = b_j tau_j^(-n), b_j = exp(-z^2 Omega(tau_j) + tau_j/2), can be far
+    larger than their mean.  With u = 2^-53, tau_j^(-n) carries about |n| u
+    (|n| times the rounding of tau_j); tau_j, the exponent and exp about 4 u
+    while the exponent is of order one; and pairwise summation adds at most
+    log2(nodes) roundings per sample (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, section 4.2).  Each is at most
+    u |s_j|, so the mean is off by at most u (log2(nodes) + |n| + 4) mean|s_j|,
+    and mean|s_j| = r^(-n) mean|b_j| since |tau_j| = r: one reduction per node
+    count for all lanes.  A larger exponent adds about u per unit of its size,
+    and numpy's blocked pairwise sum may round more often; those errors change
+    sign from node to node, and against mpmath (n = -10..10, z up to 7, r in
+    {0.7, 1, 1.3}) the error stays below 0.15 of the estimate.
     """
     for n in ns:
         if not float(n).is_integer():
             raise ValueError(f"Z_n needs an integer n (a closed contour defines no other); got n = {n}")
-    nodes = pair.contour_nodes
-    cur = _contour_sums(pair, ns, z, nodes)
+    if not abs(z) <= _MAX_ARG:
+        raise ValueError(f"|z| = {abs(z)} outside the supported range [0, {_MAX_ARG}]")
+    r = pair.contour_radius
+    nodes = _CONTOUR_NODES
+    cur, base = _contour_sums(pair, ns, z, nodes)
     out: list = [None] * len(ns)
     live = list(range(len(ns)))
     while live:
-        nxt = _contour_sums(pair, [ns[i] for i in live], z, 2 * nodes)
+        mean_abs = float(np.abs(base).sum()) / nodes  # mean|b_j| at the live lanes' node count
+        nxt, base = _contour_sums(pair, [ns[i] for i in live], z, 2 * nodes)
         going = []
         for i, v in zip(live, nxt):
             err = abs(v - cur[i])
@@ -129,17 +143,19 @@ def _z_lanes(pair: GeneratingPair, ns: list, z: float) -> list:
                     f"Z_{ns[i]}({z}) did not converge within the contour node budget (delta {err:.3e})"
                 )
             else:
-                out[i] = EvalResult(_real_if_close(cur[i]), err, nodes)
+                floor = 0.5 * _EPS * (math.log2(nodes) + abs(ns[i]) + 4) * r ** -ns[i] * mean_abs
+                out[i] = EvalResult(_real_if_close(cur[i]), err + floor, nodes)
         live = going
         nodes *= 2
     return out
 
 
 def z_function(pair: GeneratingPair, n: int, z: float) -> EvalResult:
-    """Z_n(z) by the trapezoidal rule on |tau| = r, for integer n.
+    """Z_n(z) by the trapezoidal rule on |tau| = r, for integer n and |z| <= 20.
 
-    The value is taken at the configured node count once a doubled grid
-    confirms it; the node-doubling difference is the error estimate.
+    The value is taken at the first node count (256, 512, ...) that a doubled
+    grid confirms; the error estimate is the node-doubling difference plus the
+    rounding floor of the trapezoid mean (see :func:`_z_lanes`).
     """
     (r,) = _z_lanes(pair, [n], z)
     if isinstance(r, Exception):
@@ -161,6 +177,8 @@ def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
     the float range at some node, raise ArithmeticError instead of returning
     a number.
     """
+    if math.isnan(n):
+        raise ValueError("A_n needs a real order n; got n = nan")
     (r,) = _a_lanes(pair, [n], t)
     if isinstance(r, Exception):
         raise r
@@ -177,7 +195,7 @@ def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
     result holds each lane's EvalResult, or the exception ``a_function``
     raises for that n.
     """
-    if t <= 0:
+    if not t > 0:
         return [ValueError("t must be positive")] * len(ns)
     t2 = t * t
     mho = pair.inverse

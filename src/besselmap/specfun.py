@@ -6,8 +6,8 @@ The evaluators are deliberately series/quadrature based and self-contained:
   non-integer order; exact integers reduce to n, z >= 0 by one sign.
 * ``neumann``    -- the positive/negative-order combination, sin and cos of
   nu pi taken from nu minus its nearest integer; within 1e-8 of an integer the
-  logarithmic series (``neumann_log_series``, DLMF 10.8.1), with the
-  reflection N_-n = (-1)^n N_n.
+  logarithmic series at that integer (DLMF 10.8.1), with the reflection
+  N_-n = (-1)^n N_n.
 * ``hankel``     -- J +/- i N.
 * ``k_bessel`` -- a one-lane run of the half-line trapezoid (shared with
   ``sonine.a_function``) after an exponential substitution that makes the integrand decay
@@ -41,7 +41,6 @@ __all__ = [
     "EvalResult",
     "bessel_j",
     "neumann",
-    "neumann_log_series",
     "hankel",
     "k_bessel",
     "reduced_j_series",
@@ -83,9 +82,9 @@ class EvalResult:
 
 # _PSI[m - 1] = psi(m) = -Euler's constant + H_(m-1) (DLMF 5.4.14), built once
 # by the running sum psi(m + 1) = psi(m) + 1/m.  610 entries are enough:
-# neumann_log_series reads psi(n + k + 1) for k < 600 with n <= 10 (bessel_j
-# guards the order first), and the series builders raise on c_k(n), which
-# needs n + k <= 170, before they read past psi(171).
+# the logarithmic series of N_n reads psi(n + k + 1) for k < 600 with n <= 10
+# (neumann guards the order first), and the series builders raise on c_k(n),
+# which needs n + k <= 170, before they read past psi(171).
 _PSI = tuple(
     accumulate((1.0 / m for m in range(1, int(_MAX_ORDER) + _SERIES_LIMIT)), initial=-0.5772156649015329)
 )
@@ -97,10 +96,10 @@ _PSI = tuple(
 
 
 def _check_domain(nu: float, z: float) -> None:
-    """The public guard: |nu| <= 10 and |z| <= 20."""
-    if abs(nu) > _MAX_ORDER:
+    """The public guard: |nu| <= 10 and |z| <= 20, NaN failing both."""
+    if not abs(nu) <= _MAX_ORDER:
         raise ValueError(f"|nu| = {abs(nu)} outside the supported order range [-{_MAX_ORDER}, {_MAX_ORDER}]")
-    if abs(z) > _MAX_ARG:
+    if not abs(z) <= _MAX_ARG:
         raise ValueError(f"|z| = {abs(z)} outside the supported range (0, {_MAX_ARG}]")
 
 
@@ -152,20 +151,16 @@ def _j_series(nu: float, z: float) -> EvalResult:
     return EvalResult(total, abs(term) + _SERIES_ROUNDING * abs_sum, k)
 
 
-def neumann_log_series(n: int, z: float) -> EvalResult:
-    """N_n(z) for integer n >= 0 by the textbook logarithmic expansion.
+def _neumann_log_series(n: int, z: float) -> EvalResult:
+    """N_n(z) by the textbook logarithmic expansion, for callers that have
+    already checked the domain: integer 0 <= n <= 10 and 0 < z <= 20.
 
     err_estimate bounds the series' own error: the size of the last term
     summed, a few ulps of every addend (the cancellation), and the error of J_n
     amplified by the (2/pi) log(z/2) factor that multiplies it.
     """
-    if n != int(n) or n < 0:
-        raise ValueError("neumann_log_series needs integer n >= 0")
-    n = int(n)
-    if z <= 0:
-        raise ValueError("z must be positive")
     half = 0.5 * z
-    jn = bessel_j(n, z)
+    jn = _j_series(float(n), z)
     log_factor = (2.0 / math.pi) * math.log(half)
     total = log_factor * jn.value.real
     abs_sum = abs(total)
@@ -214,7 +209,7 @@ def neumann(nu: float, z: float) -> EvalResult:
     # eps / |nu - n| to cancellation, so the log series at n stands in; the
     # estimate leaves out the order offset (ROADMAP item 3).
     if abs(nu - n) < _NEAR_INTEGER:
-        r = neumann_log_series(abs(n), z)
+        r = _neumann_log_series(abs(n), z)
         return EvalResult(-r.value, r.err_estimate, r.effort) if n < 0 and n % 2 else r
     jp = _j_series(nu, z)
     jm = _j_series(-nu, z)
@@ -509,7 +504,7 @@ def log_reduced_j(nmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if z < 0:
+    if not z >= 0:
         raise ValueError("z must be >= 0")
     u = 0.5 * z * z
     order = np.arange(nmax + 1, dtype=float)
@@ -536,10 +531,11 @@ def neumann_scaled_table(t: float, pmax: int) -> tuple[np.ndarray, np.ndarray]:
     """(signs, logs) of t^p N_p(t) for p = 0..pmax by the scaled upward recurrence
     G_{p+1} = 2p G_p - t^2 G_{p-1}, which is forward-stable for the N family.
     A zero value reads (1.0, -inf)."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
+    # the public neumann seeds the table: its guard is the only one on EQ9/EQ11's t
     g0 = neumann(0.0, t).value.real
     g1 = t * neumann(1.0, t).value.real
     mants = [0.0, 0.0]

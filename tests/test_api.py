@@ -1,0 +1,106 @@
+"""The public API: its names, and the domain guards of its entry points."""
+
+import math
+
+import pytest
+
+import besselmap
+from besselmap import (
+    GeneratingPair,
+    a_function,
+    bessel_j,
+    bessel_pair,
+    bilinear_check,
+    check_eq3_closure,
+    check_integer_shift,
+    hankel,
+    k_bessel,
+    lambda_taylor_target,
+    neumann,
+    z_function,
+)
+from besselmap.specfun import log_reduced_j, neumann_scaled_table
+
+NAN = math.nan
+
+
+def test_public_names_are_pinned():
+    # a name added to or removed from the API changes this list on purpose
+    assert besselmap.__all__ == [
+        "EvalResult",
+        "GeneratingPair",
+        "IdentityReport",
+        "LogPowerSeries",
+        "ReliableOrderExhausted",
+        "a_function",
+        "apply_exp_sigma",
+        "apply_sigma",
+        "bessel_j",
+        "bessel_pair",
+        "bessel_t_series",
+        "bilinear_check",
+        "check_eq2_roundtrip",
+        "check_eq3_closure",
+        "check_eq3prime_order",
+        "check_eq9_real",
+        "check_eq11",
+        "check_eq14_kernel",
+        "check_eq15_order",
+        "check_eq18_order",
+        "check_integer_shift",
+        "hankel",
+        "hankel_t_series",
+        "k_bessel",
+        "lambda_coefficients",
+        "lambda_taylor_target",
+        "neumann",
+        "neumann_t_series",
+        "reduced_j_series",
+        "run_suite",
+        "z_function",
+        "__version__",
+    ]
+    assert all(hasattr(besselmap, name) for name in besselmap.__all__)
+
+
+_ORDER = r"\|nu\| = nan outside the supported order range"
+_ARG = r"\|z\| = nan outside the supported range"
+
+# (call, the domain error it raises): a NaN order, then a NaN argument, per entry point
+_NAN_CALLS = {
+    "bessel_j-order": (lambda: bessel_j(NAN, 1.0), _ORDER),
+    "bessel_j-arg": (lambda: bessel_j(0.5, NAN), _ARG),
+    "bessel_j-integer-arg": (lambda: bessel_j(1.0, NAN), _ARG),
+    "neumann-order": (lambda: neumann(NAN, 1.0), _ORDER),
+    "neumann-arg": (lambda: neumann(0.5, NAN), _ARG),
+    "hankel-order": (lambda: hankel(1, NAN, 1.0), _ORDER),
+    "hankel-arg": (lambda: hankel(2, 1.0, NAN), _ARG),
+    "k_bessel-order": (lambda: k_bessel(NAN, 1.0), _ORDER),
+    "k_bessel-arg": (lambda: k_bessel(0.5, NAN), _ARG),
+    "lambda_taylor_target-order": (lambda: lambda_taylor_target("N", NAN, 1, 1.0), _ORDER),
+    "lambda_taylor_target-probe": (lambda: lambda_taylor_target("N", 0, 1, NAN), _ARG),
+    "z_function-order": (lambda: z_function(bessel_pair(), NAN, 1.0), "integer n"),
+    "z_function-arg": (lambda: z_function(bessel_pair(), 1, NAN), _ARG),
+    "a_function-order": (lambda: a_function(bessel_pair(), NAN, 1.0), "real order n; got n = nan"),
+    "a_function-arg": (lambda: a_function(bessel_pair(), 1, NAN), "t must be positive"),
+    "bilinear_check-z": (lambda: bilinear_check(bessel_pair(), NAN, 2.0, 10), _ARG),
+    "bilinear_check-t": (lambda: bilinear_check(bessel_pair(), 0.5, NAN, 10), "t must be positive"),
+    "log_reduced_j": (lambda: log_reduced_j(5, NAN), "z must be >= 0"),
+    "neumann_scaled_table": (lambda: neumann_scaled_table(NAN, 5), "t must be positive"),
+    "check_integer_shift-t": (lambda: check_integer_shift(t=NAN), r"t must lie in \(0, 2\]"),
+    "check_eq3_closure-order": (lambda: check_eq3_closure(nus=(NAN,)), _ORDER),
+    "check_eq3_closure-arg": (lambda: check_eq3_closure(zs=(NAN,)), _ARG),
+    "bessel_pair-nan-radius": (lambda: bessel_pair(radius=NAN), "positive and finite"),
+    "bessel_pair-inf-radius": (lambda: bessel_pair(radius=math.inf), "positive and finite"),
+    "pair-nan-omega": (
+        lambda: GeneratingPair("nan", lambda tau: tau * NAN, lambda x: 1.0 / (2.0 * x)),
+        "inverse check failed",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _NAN_CALLS)
+def test_nan_input_raises_the_domain_error(case):
+    call, message = _NAN_CALLS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

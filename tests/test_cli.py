@@ -152,7 +152,7 @@ def test_check_eq11_passes(run_cli):
     assert payload["tolerance"] == 5e-3
 
 
-@pytest.mark.parametrize("identity_id", identities.IDENTITY_IDS)
+@pytest.mark.parametrize("identity_id", identities.CHECKERS)
 def test_check_without_options_runs_the_checker_defaults(run_cli, identity_id):
     r = run_cli("--format", "json", "check", "--id", identity_id)
     record = identities.CHECKERS[identity_id]().to_record()
@@ -231,6 +231,24 @@ def test_csv_format_takes_only_reports(run_cli, args):
     assert f"error: --format csv writes identity reports (check, suite); {args[0]} has none" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        *[(("eval", "--fn", fn, "--order", "nan", "--arg", "1"), "|nu| = nan") for fn in ("J", "N", "H1", "H2", "K")],
+        *[(("eval", "--fn", fn, "--order", "1", "--arg", "nan"), "|z| = nan") for fn in ("J", "N", "H1", "H2", "K", "Z")],
+        (("eval", "--fn", "Z", "--order", "nan", "--arg", "1"), "takes an integer order; got nan"),
+        (("eval", "--fn", "A", "--order", "nan", "--arg", "1"), "takes an integer order; got nan"),
+        (("eval", "--fn", "A", "--order", "1", "--arg", "nan"), "t must be positive"),
+        (("eval", "--fn", "Z", "--order", "1", "--arg", "50"), "|z| = 50.0 outside the supported range"),
+    ],
+)
+def test_eval_nan_and_out_of_range_input_is_a_domain_error(run_cli, args, message):
+    r = run_cli("--format", "json", *args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and message in r.stderr
+
+
 def test_output_file(run_cli, tmp_path):
     out = tmp_path / "report.json"
     r = run_cli("--format", "json", "--output", str(out), "check", "--id", "EQ2_ROUNDTRIP")
@@ -272,6 +290,8 @@ _NEGATIVE_Z = (ValueError, "z must be >= 0")
         ("EQ17_SHIFT", {"n": -1}, _NEGATIVE_N),
         ("EQ11_SUM", {"z": -0.5, "t": 2.0}, _NEGATIVE_Z),
         ("EQ9_REAL", {"z": -0.5, "t": 2.0}, _NEGATIVE_Z),
+        ("EQ11_SUM", {"z": math.nan}, _NEGATIVE_Z),
+        ("EQ9_REAL", {"t": math.nan}, (ValueError, "t must be positive")),
     ],
 )
 def test_checkers_raise_their_callees_guards(run_cli, identity_id, kwargs, error):

@@ -199,6 +199,13 @@ def test_eq11_validation_and_region():
     assert "region" in rep.notes
 
 
+@pytest.mark.parametrize("checker", [check_eq11, check_eq9_real])
+def test_bilinear_checks_keep_the_evaluators_argument_range(checker):
+    # t seeds the N table through neumann, whose domain guard is the only one on t
+    with pytest.raises(ValueError, match=r"\|z\| = 25.0 outside the supported range"):
+        checker(0.5, 25.0)
+
+
 def test_eq9_j_part_vanishes_and_n_part_matches_eq11():
     rep9 = check_eq9_real(0.5, 2.0, N=200)
     rep11 = check_eq11(0.5, 2.0, N=200)
@@ -295,6 +302,13 @@ def test_probe_checks_share_the_convergence_note():
     n15 = check_eq15_order(0, 1, K=8, M=4, probes=(4.0,)).notes
     n18 = check_eq18_order(1, 0, 1, K=8, M=4, probes=(4.0,)).notes
     assert n15 == n18 == "probe t=4.0 outside series convergence for K=8"
+
+
+def test_probe_note_names_every_probe_that_misses():
+    # at K = 6 the N series misses at t = 3 (1.1e-5) and t = 4, but not at t = 2
+    rep = check_eq15_order(0, 1, K=6, M=2, probes=(2.0, 3.0, 4.0))
+    assert rep.notes == "probe t=3.0, t=4.0 outside series convergence for K=6"
+    assert check_eq15_order(0, 1, K=6, M=2, probes=(2.0,)).notes == ""
 
 
 def test_operator_reports_carry_their_reliable_order():

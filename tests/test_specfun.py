@@ -16,7 +16,6 @@ from besselmap import (
     k_bessel,
     lambda_taylor_target,
     neumann,
-    neumann_log_series,
     neumann_t_series,
     reduced_j_series,
 )
@@ -24,6 +23,7 @@ from besselmap.logseries import LogPowerSeries
 from besselmap.specfun import (
     _PSI,
     _halfline_quadrature,
+    _neumann_log_series,
     _reduced_j_lambda1_series,
     log_reduced_j,
     neumann_scaled_table,
@@ -212,7 +212,7 @@ def test_n_integer_limit_against_oracle():
 @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 3.0])
 def test_n_integer_vs_scipy(n, z):
     assert neumann(float(n), z).value.real == pytest.approx(float(sp.yn(n, z)), abs=1e-9)
-    assert neumann_log_series(n, z).value.real == pytest.approx(float(sp.yn(n, z)), rel=1e-11, abs=1e-12)
+    assert _neumann_log_series(n, z).value.real == pytest.approx(float(sp.yn(n, z)), rel=1e-11, abs=1e-12)
 
 
 @pytest.mark.parametrize("nu", [0.3, 1.7, 2.5, -0.4])
@@ -285,7 +285,7 @@ def test_n_order_ten_at_the_domain_edge(n, z):
     """|n| = 10 is inside the domain and evaluates like every integer order."""
     mpmath = pytest.importorskip("mpmath")
     r = neumann(float(n), z)
-    oracle = neumann_log_series(10, z).value.real  # N_-10 = N_10
+    oracle = _neumann_log_series(10, z).value.real  # N_-10 = N_10
     ref = float(mpmath.bessely(n, mpmath.mpf(z)))
     assert r.value.real == oracle
     assert abs(r.value.real - ref) <= r.err_estimate
@@ -306,7 +306,7 @@ def test_n_integer_order_is_the_log_series_within_its_estimate():
         for i in range(40):
             z = 0.01 * 2000.0 ** (i / 39)
             r, reflected = neumann(float(n), z), neumann(float(-n), z)
-            assert r == neumann_log_series(n, z)
+            assert r == _neumann_log_series(n, z)
             assert (reflected.value, reflected.err_estimate) == ((-1.0) ** n * r.value, r.err_estimate)
             with mpmath.workdps(40):
                 err = float(abs(mpmath.mpf(r.value.real) - mpmath.bessely(n, z)))
