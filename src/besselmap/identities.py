@@ -361,12 +361,13 @@ def check_eq2_roundtrip(
     zs: tuple = (0.5, 1.0, 2.0),
 ) -> IdentityReport:
     """sin(nu pi) N_nu + J_(-nu) - cos(nu pi) J_nu = 0 for non-integer nu, the angle as in neumann.
-    An order that neumann takes as an integer tests no combination and is an error."""
+    An order that neumann takes as an integer tests no combination and is an error, as
+    is a NaN or infinite one."""
     _nonempty(nus=nus, zs=zs)
     residuals = []
     for nu in nus:
-        if abs(nu - round(nu)) < _NEAR_INTEGER:
-            raise ValueError(f"EQ2 needs non-integer orders; nu = {nu} is within {_NEAR_INTEGER} of one")
+        if not (math.isfinite(nu) and abs(nu - round(nu)) >= _NEAR_INTEGER):  # NaN fails too
+            raise ValueError(f"EQ2 needs finite orders at least {_NEAR_INTEGER} from an integer; got nu = {nu}")
         s, c = _sin_cos_pi(nu)
         for z in zs:
             jn = bessel_j(nu, z).value.real

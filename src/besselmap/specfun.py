@@ -495,7 +495,7 @@ def lambda_taylor_target(family: str, n: int, j: int, probe: float) -> complex:
 
 
 def log_reduced_j(nmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """(signs, logs) of J_m(z)/z^m for m = 0..nmax, z >= 0, stable to m ~ hundreds.
+    """(signs, logs) of J_m(z)/z^m for m = 0..nmax, finite z >= 0, stable to m ~ hundreds.
 
     J_m(z)/z^m = 2^(-m)/m! * S_m with S_m a fast-converging hypergeometric
     bracket.  All m are summed together, one lane each; a lane stops on its
@@ -504,8 +504,8 @@ def log_reduced_j(nmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if not z >= 0:
-        raise ValueError("z must be >= 0")
+    if not 0 <= z < math.inf:
+        raise ValueError("z must be >= 0 and finite")
     u = 0.5 * z * z
     order = np.arange(nmax + 1, dtype=float)
     s = np.ones(nmax + 1)

@@ -1,6 +1,9 @@
 """The public API: its names, and the domain guards of its entry points."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -104,3 +107,28 @@ def test_nan_input_raises_the_domain_error(case):
     call, message = _NAN_CALLS[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_log_reduced_j_rejects_an_infinite_z():
+    # an infinite z would sum to NaN terms; the guard's message keeps its "z must be >= 0" prefix
+    with pytest.raises(ValueError, match="^z must be >= 0 and finite$"):
+        log_reduced_j(5, math.inf)
+
+
+def test_import_and_suite_leave_numpy_fft_unloaded():
+    """Only the contour sampler uses numpy.fft, and it reaches it at call time:
+    importing besselmap and running the suite do not load it."""
+    src = os.path.dirname(os.path.dirname(besselmap.__file__))
+    code = (
+        "import sys, besselmap\n"
+        "loaded = lambda: 'numpy.fft' in sys.modules\n"
+        "a = loaded(); besselmap.run_suite(); b = loaded()\n"
+        "besselmap.z_function(besselmap.bessel_pair(), 1, 0.5)\n"
+        "print(a, b, loaded())\n"
+    )
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False False True\n"

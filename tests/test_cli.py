@@ -278,7 +278,7 @@ def test_domain_error_exit_two(run_cli):
 
 _EXHAUSTED = (sigmaop.ReliableOrderExhausted, "K = 10 cannot support 1 Sigma applications at window M = 12")
 _NEGATIVE_N = (ValueError, "n must be >= 0 (use the reflection N_{-n} = (-1)^n N_n)")
-_NEGATIVE_Z = (ValueError, "z must be >= 0")
+_NEGATIVE_Z = (ValueError, "z must be >= 0 and finite")
 
 
 @pytest.mark.parametrize(
@@ -292,6 +292,8 @@ _NEGATIVE_Z = (ValueError, "z must be >= 0")
         ("EQ9_REAL", {"z": -0.5, "t": 2.0}, _NEGATIVE_Z),
         ("EQ11_SUM", {"z": math.nan}, _NEGATIVE_Z),
         ("EQ9_REAL", {"t": math.nan}, (ValueError, "t must be positive")),
+        ("EQ11_SUM", {"z": math.inf}, _NEGATIVE_Z),
+        ("EQ9_REAL", {"z": math.inf}, _NEGATIVE_Z),
     ],
 )
 def test_checkers_raise_their_callees_guards(run_cli, identity_id, kwargs, error):
@@ -306,6 +308,14 @@ def test_checkers_raise_their_callees_guards(run_cli, identity_id, kwargs, error
     r = run_cli("check", "--id", identity_id, *args)
     assert r.returncode == 2
     assert r.stderr == f"error: {message}\n"
+
+
+def test_check_infinite_z_is_an_error_not_nan_json(run_cli):
+    # an infinite z once summed to NaN tokens, which are not valid JSON, and exited 0
+    r = run_cli("--format", "json", "check", "--id", "EQ11_SUM", "--z", "inf")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: z must be >= 0 and finite\n"
 
 
 @pytest.mark.parametrize(

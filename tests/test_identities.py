@@ -410,6 +410,13 @@ def test_eq2_roundtrip_rejects_orders_neumann_takes_as_integers(nu):
     assert check_eq2_roundtrip(nus=(2.00000002,), zs=(1.0,)).verdict == "pass"
 
 
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+def test_eq2_roundtrip_rejects_a_nonfinite_order(nu):
+    # the near-integer guard is a negated range test, so NaN fails it and names the order
+    with pytest.raises(ValueError, match=f"^EQ2 needs finite orders .*; got nu = {nu}$"):
+        check_eq2_roundtrip(nus=(0.3, nu))
+
+
 def test_eq3_closure_exact():
     rep = check_eq3_closure()
     assert rep.verdict == "pass"

@@ -7,7 +7,14 @@ import pytest
 from scipy import special as sp
 
 from besselmap import a_function, bessel_pair, bilinear_check, k_bessel, z_function
-from besselmap.sonine import GeneratingPair, _contour_sums, _symmetric_partials, _tail_fit
+from besselmap.sonine import (
+    GeneratingPair,
+    _contour_samples,
+    _contour_sums,
+    _symmetric_partials,
+    _tail_fit,
+    _z_lanes,
+)
 from besselmap.specfun import EvalResult, _halfline_quadrature
 
 
@@ -72,8 +79,10 @@ def test_z_function_radius_independence():
 
 def test_contour_node_doubling_is_geometric():
     pair = bessel_pair()
-    ref = _contour_sums(pair, [0], 1.0, 512)[0][0]
-    errs = [abs(_contour_sums(pair, [0], 1.0, nodes)[0][0] - ref) for nodes in (4, 8, 16)]
+    ref = _contour_sums(_contour_samples(pair, 1.0, 512), [0], 1.0)[0]
+    errs = [
+        abs(_contour_sums(_contour_samples(pair, 1.0, nodes), [0], 1.0)[0] - ref) for nodes in (4, 8, 16)
+    ]
     # spectral accuracy: each doubling shrinks the error by far more than 10x
     # until the rounding floor is reached
     assert errs[1] < max(0.1 * errs[0], 1e-15)
@@ -101,6 +110,74 @@ def test_z_function_estimate_bounds_the_error_on_a_grid():
             if not err <= r.err_estimate:
                 misses.append((n, z, err, r.err_estimate))
     assert evaluated >= 183
+    assert not misses
+
+
+@pytest.mark.parametrize("z, sizes", [(0.5, [256, 256]), (5.0, [256, 256, 512, 1024, 2048])])
+def test_contour_samples_each_node_once(z, sizes):
+    """The first node count samples its 256 nodes, and each doubling only its
+    new odd nodes, so the samples add up to the confirming grid, twice the
+    node count a value is taken at."""
+    bessel = bessel_pair()
+    calls = []
+
+    def omega(tau):
+        if isinstance(tau, np.ndarray):
+            calls.append(tau)
+        return bessel.omega(tau)
+
+    pair = GeneratingPair("recorded", omega, bessel.inverse)
+    r = z_function(pair, 3, z)
+    assert [len(tau) for tau in calls] == sizes
+    assert sum(sizes) == 2 * r.effort
+    nodes = np.concatenate(calls)
+    assert len(np.unique(nodes)) == len(nodes)
+
+
+@pytest.mark.parametrize("z", [0.5, 5.0])
+def test_nested_samples_have_the_bits_of_a_full_grid(z):
+    # each doubling keeps the previous samples as its even nodes and samples the odd ones
+    pair = bessel_pair(radius=0.7)
+    b = _contour_samples(pair, z, 256)
+    while len(b) < 4096:
+        b = _contour_samples(pair, z, 2 * len(b), b)
+        assert np.array_equal(b, _contour_samples(pair, z, len(b)))
+
+
+def test_z_floor_bounds_the_complex_mean():
+    """The rounding floor bounds the error of the complex trapezoid mean before
+    ``_real_if_close`` drops its imaginary noise; for a pair whose Z is not real
+    that mean is the value.  At large z and negative n, a floor from mean|b_j|
+    in place of rms|b_j| misses at 16 of these 30 points."""
+    mpmath = pytest.importorskip("mpmath")
+    pair = bessel_pair()
+    ns = list(range(-30, -15))
+    misses = []
+    for z in (6.0, 7.0):
+        for n, r in zip(ns, _z_lanes(pair, ns, z)):
+            mean = _contour_sums(_contour_samples(pair, z, r.effort), [n], 1.0)[0]
+            with mpmath.workdps(40):
+                err = float(abs(mpmath.mpc(mean) - mpmath.besselj(n, z) / mpmath.mpf(z) ** n))
+            if not err <= r.err_estimate:
+                misses.append((n, z, err, r.err_estimate))
+    assert not misses
+
+
+def test_z_function_estimate_bounds_the_error_at_the_bilinear_orders():
+    """err_estimate bounds the error against mpmath at 40 digits, with no
+    allowance added, at the large |n| that bilinear_check reaches (N up to 40)
+    over the z its checks draw: there the samples exceed the mean by up to 60
+    orders of magnitude, so the estimate rests on the rounding floor."""
+    mpmath = pytest.importorskip("mpmath")
+    pair = bessel_pair()
+    misses = []
+    for n in (-40, -25, -15, 15, 25, 40):
+        for z in (0.05, 0.3, 0.5, 1.0, 2.0, 3.5):
+            r = z_function(pair, n, z)
+            with mpmath.workdps(40):
+                err = float(abs(mpmath.mpc(r.value) - mpmath.besselj(n, z) / mpmath.mpf(z) ** n))
+            if not err <= r.err_estimate:
+                misses.append((n, z, err, r.err_estimate))
     assert not misses
 
 
