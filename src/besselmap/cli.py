@@ -132,14 +132,14 @@ def _cmd_eval(args) -> tuple[object, int]:
 
 
 def _cmd_series(args) -> tuple[object, int]:
-    s = specfun.FAMILIES[args.family][0](args.n, args.K)
+    s = specfun.FAMILIES[args.family](args.n, args.K)
     payload = {"schema": 1, "command": "series", "family": args.family, "n": args.n}
     payload.update(s.to_records())
     return payload, 0
 
 
 def _cmd_map(args) -> tuple[object, int]:
-    s = specfun.FAMILIES[args.family][0](args.n, args.K)
+    s = specfun.FAMILIES[args.family](args.n, args.K)
     lam = getattr(args, "lambda")
     mapped = sigmaop.apply_exp_sigma(s, args.shift_window, args.exp_order, lam)
     variant, sign = sigmaop.MAP_FOR_TAG[s.variable_tag]

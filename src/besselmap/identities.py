@@ -55,8 +55,7 @@ from .sonine import _symmetric_partials, _tail_fit
 from .specfun import (
     _EPS,
     _NEAR_INTEGER,
-    FAMILIES,
-    _reduced_j_lambda1_series,
+    _order_jet,
     _sin_cos_pi,
     bessel_j,
     hankel_t_series,
@@ -255,7 +254,7 @@ def _probe_report(identity_id: str, params: dict, base: LogPowerSeries, family: 
     entry = _lambda_entry(base, params["M"], j)
     missed = []
     for x in probes:
-        oracle = FAMILIES[family][1](float(n), x)
+        oracle = lambda_taylor_target(family, n, 0, x)
         if abs(base.evaluate(0.5 * x * x) - oracle) > 1e-6 * max(1.0, abs(oracle)):
             missed.append(f"t={x}")
     notes = f"probe {', '.join(missed)} outside series convergence for K={base.K_trunc}" if missed else ""
@@ -267,8 +266,8 @@ def _probe_report(identity_id: str, params: dict, base: LogPowerSeries, family: 
 def check_eq3prime_order(n: int = 0, j: int = 1, K: int = 16, M: int = 12) -> IdentityReport:
     """lam^j coefficient of the mapped reduced series against its real-order target.
 
-    j = 1 compares coefficientwise against the digamma closed form over the
-    reliable powers; j = 2 runs the probe protocol at z in {0.5, 1, 2}.
+    j = 1 compares coefficientwise against the reduced family's order-jet lam^1
+    column over the reliable powers; j = 2 runs the probe protocol at z in {0.5, 1, 2}.
     """
     if K < 8:
         raise ValueError("K must be >= 8")
@@ -278,7 +277,7 @@ def check_eq3prime_order(n: int = 0, j: int = 1, K: int = 16, M: int = 12) -> Id
         return _probe_report("EQ3P_ORDER_J", params, base, "reducedJ", _DEFAULT_PROBES, 1e-5)
     entry = _lambda_entry(base, M, j)
     order = entry.K_trunc
-    target = _reduced_j_lambda1_series(n, K)
+    target = _order_jet("reducedJ", n, K, 1)[1]
     distances = [abs(entry.coefficient(k, 0) - target.coefficient(k, 0)) for k in range(order + 1)]
     residual = entry.compare(target, order)
     return IdentityReport("EQ3P_ORDER_J", params, distances, residual, 0.0, 1e-10, {"reliable_order": order})

@@ -142,12 +142,16 @@ def _z_lanes(pair: GeneratingPair, ns: list, z: float) -> list:
     {0.7, 1, 1.3}) the error stays below 0.3 of the estimate, and below 0.9
     before ``_real_if_close`` drops the imaginary noise.
     """
+    r = pair.contour_radius
     for n in ns:
         if not float(n).is_integer():
             raise ValueError(f"Z_n needs an integer n (a closed contour defines no other); got n = {n}")
+        try:
+            r**-n
+        except OverflowError:
+            raise ValueError(f"Z_n at n = {n}: r^-n leaves the float range at contour radius r = {r}") from None
     if not abs(z) <= _MAX_ARG:
         raise ValueError(f"|z| = {abs(z)} outside the supported range [0, {_MAX_ARG}]")
-    r = pair.contour_radius
     nodes = _CONTOUR_NODES
     b = _contour_samples(pair, z, nodes)
     cur = _contour_sums(b, ns, r)

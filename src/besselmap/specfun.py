@@ -21,16 +21,17 @@ The evaluators are deliberately series/quadrature based and self-contained:
 The intended working range is desk scale: arguments in (0, 20], orders in
 [-10, 10].  No asymptotic large-argument machinery is included.
 
-Series builders return :class:`~besselmap.logseries.LogPowerSeries` objects
-in u = z**2/2 (tag "u-of-z") or u = t**2/2 (tag "u-of-t").  Each writes its
-(power, log power) block from one array of c_k(n) and hands it to the
-series unvalidated.
+The order jet (``_order_jet``) gives every lam-Taylor coefficient of a family
+at order n + lam, n an integer, as a :class:`~besselmap.logseries.LogPowerSeries`
+in u = z**2/2 (tag "u-of-z") or u = t**2/2 (tag "u-of-t"): its lam^0 column is
+the family's series builder, and ``lambda_taylor_target`` sums its lam^j column.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -83,7 +84,7 @@ class EvalResult:
 # _PSI[m - 1] = psi(m) = -Euler's constant + H_(m-1) (DLMF 5.4.14), built once
 # by the running sum psi(m + 1) = psi(m) + 1/m.  610 entries are enough:
 # the logarithmic series of N_n reads psi(n + k + 1) for k < 600 with n <= 10
-# (neumann guards the order first), and the series builders raise on c_k(n),
+# (neumann guards the order first), and the order jets raise on c_k(n),
 # which needs n + k <= 170, before they read past psi(171).
 _PSI = tuple(
     accumulate((1.0 / m for m in range(1, int(_MAX_ORDER) + _SERIES_LIMIT)), initial=-0.5772156649015329)
@@ -346,147 +347,145 @@ def k_bessel(nu: float, t: float) -> EvalResult:
 
 
 # ---------------------------------------------------------------------------
-# Series builders
+# Order jets: the series builders and the lambda-Taylor targets
 # ---------------------------------------------------------------------------
 
+# _LOG_GAMMA_JET[q - 1, m - 1] = psi^(q-1)(m) / q!, the lam^q coefficient of
+# log Gamma(m + lam) - log Gamma(m), for q = 1, 2, 3 and m = 1..610: psi from
+# _PSI, and (-1)^q (zeta(q) - sum_{j<m} j^-q) / q at q >= 2 (DLMF 5.15.2, 5.15.5).
+_LOG_GAMMA_JET = np.array(
+    [_PSI]
+    + [
+        (-1) ** q * (zeta - np.cumsum(np.r_[0.0, np.arange(1.0, len(_PSI)) ** -q])) / q
+        for q, zeta in ((2, math.pi**2 / 6.0), (3, 1.2020569031595942))
+    ]
+)
 
-def _bessel_coefficients(n: int, count: int) -> np.ndarray:
-    """c_k(n) = (-1)^k / (k! (n+k)! 2^(n+k)) for k = 0..count-1: the u^k
-    coefficients of J_n(z)/z^n, u = z^2/2.  The t^n J_n(t) coefficients are
-    c_k(n) 2^n, which is exact.  From k = 99 at n = 0 k!(n+k)! leaves the float range."""
+
+def _sum_jet(n: int, kmax: int, tau: int, sigma: int, Q: int) -> np.ndarray:
+    """(Q + 1, kmax + 1): the lam^0..lam^Q coefficients of
+    (-1)^k 2^(sigma nu - k) / (k! Gamma(tau nu + k + 1)) at nu = n + lam, k = 0..kmax.
+
+    With m = tau n + k + 1 >= 1 that is the prefactor (-1)^k 2^(sigma n - k) /
+    (k! (m-1)!), an exact integer product scaled by a power of 2, times
+    2^(sigma lam) exp(-sum_q psi^(q-1)(m) (tau lam)^q / q!).  At m <= 0 the
+    reflection 1/Gamma(x) = Gamma(1 - x) sin(pi x) / pi (DLMF 5.5.3) stands in,
+    with sin(pi tau lam) / pi = tau lam exp(-zeta(2) lam^2 + O(lam^4)), so Q <= 3.
+    Every prefactor, and its error, comes before psi is read.
+    """
+    ms = np.arange(kmax + 1) + tau * n + 1
     try:
-        return np.array(
-            [(-1.0) ** k / (math.factorial(k) * math.factorial(n + k) * 2.0 ** (n + k)) for k in range(count)]
-        )
+        pref = [
+            (-1.0) ** k * (1 if m >= 1 else (-1) ** m * math.factorial(-m))
+            / (math.factorial(k) * math.factorial(max(m - 1, 0)) * 2.0 ** (k - sigma * n))
+            for k, m in enumerate(ms.tolist())
+        ]
     except OverflowError:
-        raise ValueError(f"c_k(n) at n = {n}, k = {count - 1}: k!(n+k)! leaves the float range; lower K") from None
+        raise ValueError(f"c_k(n) at n = {n}, k = {kmax}: k!(n+k)! leaves the float range; lower K") from None
+    refl = ms <= 0
+    q = np.arange(1, Q + 1)[:, None]
+    a = np.where(refl, (-tau) ** q, -(tau**q)) * _LOG_GAMMA_JET[:Q, np.where(refl, -ms, ms - 1)]
+    a[:1] += sigma * math.log(2.0)
+    a[1:2, refl] -= math.pi**2 / 6.0
+    jet = np.zeros((Q + 1, kmax + 1))
+    jet[0] = 1.0
+    for p in range(1, Q + 1):  # jet = exp(sum_q a[q - 1] lam^q)
+        jet[p] = sum(i * a[i - 1] * jet[p - i] for i in range(1, p + 1)) / p
+    jet[1:, refl] = tau * jet[:-1, refl]
+    jet[0, refl] = 0.0
+    return pref * jet
 
 
-def _check_series_order(n: int, K: int) -> None:
-    """The builders' guard: n >= 0 and K >= n + 2."""
-    if n < 0:
-        raise ValueError("n must be >= 0 (use the reflection N_{-n} = (-1)^n N_n)")
+@lru_cache(maxsize=64)
+def _order_jet(family: str, n: int, K: int, P: int) -> tuple[LogPowerSeries, ...]:
+    """The lam^0..lam^P (P <= 2) coefficient series, rows up to u^K, of a
+    family's real-order function at order n + lam, n an integer.
+
+    J_nu(z)/z^nu, t^nu J_nu(t) and t^nu J_-nu(t) are :func:`_sum_jet` sums on
+    u^k, u^(nu+k) and u^k, with (tau, sigma) = (1, -1), (1, 0) and (-1, 1).
+    u^lam = sum_l (log u)^l lam^l / l!, so lam^p carries log columns up to p.
+    t^nu N_nu = (cos(nu pi) t^nu J_nu - t^nu J_-nu) / sin(nu pi): the numerator
+    has no lam^0 term, so N's lam^p series is the numerator's lam^(p+1) row
+    divided by sin(pi lam)/lam.  H1 and H2 are J +/- i N.
+    """
     if K < n + 2:
         raise ValueError(f"K = {K} too small; need K >= n + 2 = {n + 2}")
+    if family == "reducedJ":
+        jet = _sum_jet(n, K, 1, -1, P).astype(complex)
+        return tuple(LogPowerSeries._from_block("u-of-z", 0, K, c[:, None]) for c in jet)
+    Q = P + (family != "J")  # N reads its numerator one order further
+    lo = min(n, 0)
+    tj = np.zeros((Q + 1, K - lo + 1, Q + 1))  # t^nu J_nu: lam^p, u^(lo + row), (log u)^l
+    s = _sum_jet(n, K - n, 1, 0, Q)
+    for l in range(Q + 1):
+        tj[l:, n - lo :, l] = s[: Q + 1 - l] / math.factorial(l)
+    jet = tj
+    if family != "J":
+        num = tj.copy()  # the numerator cos(pi lam) t^nu J_nu - (-1)^n t^nu J_-nu
+        num[:, -lo:, 0] -= (-1) ** n * _sum_jet(n, K, -1, 1, Q)
+        num[2:] -= math.pi**2 / 2.0 * tj[:-2]  # cos(pi lam) = 1 - (pi lam)^2 / 2 + O(lam^4)
+        jet = num[1:] / math.pi  # over sin(pi lam) / lam = pi (1 - (pi lam)^2 / 6 + O(lam^4))
+        jet[2:] += math.pi**2 / 6.0 * jet[:-2]
+        if family != "N":
+            jet = tj[:Q] + jet * (1j if family == "H1" else -1j)
+    return tuple(LogPowerSeries._from_block("u-of-t", lo, K, np.asarray(c, dtype=complex)) for c in jet[: P + 1])
 
 
-def _t_blocks(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (K + 1, 2) blocks of t^n J_n(t) and t^n N_n(t) in u = t^2/2, row k
-    holding u^k and column j (log u)^j.
-
-    N_n is the standard integer-order expansion (DLMF 10.8.1).  log(t/2) is
-    rewritten as (1/2) log u - (1/2) log 2 and the constant is folded into
-    the j = 0 column, so the representation is canonical and comparable.
-    """
-    _check_series_order(n, K)
-    cs = _bessel_coefficients(n, K - n + 1) * 2.0**n
-    psi = np.array(_PSI[: K + 1])
-    ln2 = math.log(2.0)
-    j_block = np.zeros((K + 1, 2), dtype=complex)
-    n_block = np.zeros((K + 1, 2), dtype=complex)
-    j_block[n:, 0] = cs
-    # (2/pi) log(t/2) t^n J_n(t), and
-    # -(1/pi) sum_k (-1)^k [psi(k+1)+psi(n+k+1)] (t/2)^(n+2k) t^n / (k!(n+k)!)
-    n_block[n:, 1] = (1.0 / math.pi) * cs
-    n_block[n:, 0] = -(ln2 / math.pi) * cs + -(psi[: K - n + 1] + psi[n:]) * cs / math.pi
-    # -(1/pi) sum_{k<n} (n-k-1)!/k! (t/2)^(2k-n) t^n  =  -(1/pi) (n-k-1)!/k! 2^(n-k) u^k
-    n_block[:n, 0] = [
-        -(math.factorial(n - k - 1) / math.factorial(k)) * 2.0 ** (n - k) / math.pi for k in range(n)
-    ]
-    return j_block, n_block
+def _lambda0_series(family: str, n: int, K: int) -> LogPowerSeries:
+    """The builders' guard, n >= 0, then the lam^0 column of the family's order jet."""
+    if n < 0:
+        raise ValueError("n must be >= 0 (use the reflection N_{-n} = (-1)^n N_n)")
+    return _order_jet(family, n, K, 0)[0]
 
 
 def reduced_j_series(n: int, K: int) -> LogPowerSeries:
     """J_n(z)/z^n as a pure power series in u = z^2/2; coefficient of u^k is
     c_k(n) = (-1)^k / (k! (n+k)! 2^(n+k))."""
-    _check_series_order(n, K)
-    block = _bessel_coefficients(n, K + 1).astype(complex)[:, None]
-    return LogPowerSeries._from_block("u-of-z", 0, K, block)
-
-
-def _reduced_j_lambda1_series(n: int, K: int) -> LogPowerSeries:
-    """Closed form of the lam^1 coefficient series of the reduced family,
-    d/dlam [J_(n+lam)(z)/z^(n+lam)] at lam = 0: c_k(n) (-psi(n+k+1) - log 2) on u^k."""
-    _check_series_order(n, K)
-    block = _bessel_coefficients(n, K + 1) * (-np.array(_PSI[n : n + K + 1]) - math.log(2.0))
-    return LogPowerSeries._from_block("u-of-z", 0, K, block.astype(complex)[:, None])
+    return _lambda0_series("reducedJ", n, K)
 
 
 def bessel_t_series(n: int, K: int) -> LogPowerSeries:
     """t^n J_n(t) as a pure power series in u = t^2/2 (support starts at u^n)."""
-    return LogPowerSeries._from_block("u-of-t", 0, K, _t_blocks(n, K)[0])
+    return _lambda0_series("J", n, K)
 
 
 def neumann_t_series(n: int, K: int) -> LogPowerSeries:
-    """t^n N_n(t) as a log-power series in u = t^2/2 with j_max = 1 (see :func:`_t_blocks`)."""
-    return LogPowerSeries._from_block("u-of-t", 0, K, _t_blocks(n, K)[1])
+    """t^n N_n(t) as a log-power series in u = t^2/2 with j_max = 1 (DLMF 10.8.1)."""
+    return _lambda0_series("N", n, K)
 
 
 def hankel_t_series(kind: int, n: int, K: int) -> LogPowerSeries:
     """t^n H_n^(kind)(t) = t^n J_n(t) +/- i t^n N_n(t) as a complex log-power series."""
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
-    j_block, n_block = _t_blocks(n, K)
-    return LogPowerSeries._from_block("u-of-t", 0, K, j_block + n_block * (1.0j if kind == 1 else -1.0j))
+    return _lambda0_series(f"H{kind}", n, K)
 
 
-# Each series family: its builder (n, K) and, where the family has one, the
-# real-order function (nu, x) whose integer-order Taylor series it is.
+# Each series family's builder (n, K): the lam^0 column of its order jet.
 FAMILIES = {
-    "reducedJ": (reduced_j_series, lambda nu, x: bessel_j(nu, x).value / x**nu),
-    "J": (bessel_t_series, None),
-    "N": (neumann_t_series, lambda nu, x: x**nu * neumann(nu, x).value),
-    "H1": (
-        lambda n, K: hankel_t_series(1, n, K),
-        lambda nu, x: x**nu * hankel(1, nu, x).value,
-    ),
-    "H2": (
-        lambda n, K: hankel_t_series(2, n, K),
-        lambda nu, x: x**nu * hankel(2, nu, x).value,
-    ),
+    "reducedJ": reduced_j_series,
+    "J": bessel_t_series,
+    "N": neumann_t_series,
+    "H1": lambda n, K: hankel_t_series(1, n, K),
+    "H2": lambda n, K: hankel_t_series(2, n, K),
 }
 
 
-# ---------------------------------------------------------------------------
-# Lambda-Taylor targets
-# ---------------------------------------------------------------------------
-
-
 def lambda_taylor_target(family: str, n: int, j: int, probe: float) -> complex:
-    """(1/j!) d^j/dlam^j of the real-order target at lam = 0, j in {0, 1, 2}.
-
-    The reducedJ family at j = 1 is its digamma coefficient form, the closed
-    lam^1 series that EQ3P compares with.  Every other target is computed by
-    Richardson-combined central differences in the order (steps 1e-3 and 5e-4),
-    so those need |n| + 1e-3 <= 10.
-    """
-    value = FAMILIES.get(family, (None, None))[1]
-    if value is None:
-        valid = tuple(name for name, (_, v) in FAMILIES.items() if v is not None)
-        raise ValueError(f"unknown family {family!r}; expected one of {valid}")
+    """(1/j!) d^j/dlam^j at lam = 0 of the family's real-order function at
+    order n + lam, taken at z or t = probe: the lam^j column of its order jet
+    summed at u = probe^2/2, for j in {0, 1, 2} and integer |n| <= 10.  The
+    jet has rows up to u^32 at probe <= 4 and up to u^64 beyond."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
     if j not in (0, 1, 2):
         raise ValueError("j must be 0, 1 or 2")
     if probe <= 0:
         raise ValueError("probe point must be positive")
     _check_domain(n, probe)
-    if j == 1 and family == "reducedJ":
-        # its 64 terms reach rounding level at every probe <= 20
-        return _reduced_j_lambda1_series(n, 63).evaluate(0.5 * probe * probe)
-    f = lambda lam: value(n + lam, probe)
-    if j == 0:
-        return f(0.0)
-    h = 1e-3
-    # the stencil reaches n +/- h; ROADMAP item 2's order jets remove it
-    if abs(n) + h > _MAX_ORDER:
-        raise ValueError(f"n = {n}: the finite-difference step {h:g} in the order leaves |nu| <= {_MAX_ORDER}")
-    if j == 1:
-        d1 = (f(h) - f(-h)) / (2.0 * h)
-        d2 = (f(h / 2) - f(-h / 2)) / h
-        return (4.0 * d2 - d1) / 3.0
-    f0 = f(0.0)
-    s1 = (f(h) - 2.0 * f0 + f(-h)) / (h * h)
-    s2 = (f(h / 2) - 2.0 * f0 + f(-h / 2)) / (h * h / 4.0)
-    return (4.0 * s2 - s1) / 3.0 / 2.0
+    if n != round(n):
+        raise ValueError(f"n = {n}: the order jet is taken at an integer order")
+    return _order_jet(family, round(n), 32 if probe <= 4.0 else 64, 2)[j].evaluate(0.5 * probe * probe)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +497,10 @@ def log_reduced_j(nmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     """(signs, logs) of J_m(z)/z^m for m = 0..nmax, finite z >= 0, stable to m ~ hundreds.
 
     J_m(z)/z^m = 2^(-m)/m! * S_m with S_m a fast-converging hypergeometric
-    bracket.  All m are summed together, one lane each; a lane stops on its
-    own convergence test, so its value does not depend on nmax.  z = 0 takes
-    the same path (S_m = 1).  A zero bracket reads (1.0, -inf).
+    bracket.  All m are summed together, one lane each, until every lane's
+    convergence test holds; past its own stop a lane's terms stay below 1e-18
+    of its sum, under half an ulp, so its value does not depend on nmax.
+    z = 0 takes the same path (S_m = 1).  A zero bracket reads (1.0, -inf).
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
@@ -510,14 +510,11 @@ def log_reduced_j(nmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     order = np.arange(nmax + 1, dtype=float)
     s = np.ones(nmax + 1)
     term = np.ones(nmax + 1)
-    live = np.arange(nmax + 1)
     for k in range(1, _SERIES_LIMIT):
-        term[live] *= -(0.5 * u) / (k * (order[live] + k))
-        s[live] += term[live]
-        # a lane stops where the scalar loop would break; one whose test is not
-        # true (NaN included) goes on, as the scalar loop does
-        live = live[~(np.abs(term[live]) < 1e-18 * np.abs(s[live]) + 1e-300)]
-        if not live.size:
+        term *= -(0.5 * u) / (k * (order + k))
+        s += term
+        # a test that is not true (NaN included) goes on, as a scalar loop would
+        if (np.abs(term) < 1e-18 * np.abs(s) + 1e-300).all():
             break
     ln2 = math.log(2.0)
     logs = [

@@ -189,6 +189,13 @@ def test_z_function_rejects_a_non_integer_order(n):
         z_function(bessel_pair(), n, 1.0)
 
 
+@pytest.mark.parametrize("radius, n", [(0.5, 1100), (2.0, -1100)])
+def test_z_function_names_an_order_whose_contour_scale_overflows(radius, n):
+    # r^-n scales every mean; where it leaves the float range the error names n and r
+    with pytest.raises(ValueError, match=rf"^Z_n at n = {n}: .* contour radius r = {radius}$"):
+        z_function(bessel_pair(radius), n, 1.0)
+
+
 def test_a_function_takes_a_real_order():
     # A_1.5(2) = 2^0.5 K_0.5(2)
     assert a_function(bessel_pair(), 1.5, 2.0).value == pytest.approx(

@@ -24,12 +24,17 @@ from besselmap.specfun import (
     _PSI,
     _halfline_quadrature,
     _neumann_log_series,
-    _reduced_j_lambda1_series,
+    _order_jet,
     log_reduced_j,
     neumann_scaled_table,
 )
 
 EULER_GAMMA = 0.5772156649015329
+
+
+def _reduced_j_lambda1(n, K):
+    """The reducedJ lam^1 column of the order jet: d/dlam [J_(n+lam)(z)/z^(n+lam)] at lam = 0."""
+    return _order_jet("reducedJ", n, K, 1)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +506,7 @@ def test_series_builders_match_the_validating_constructor(n):
     the validating constructor lays out from the same terms."""
     builders = (
         reduced_j_series,
-        _reduced_j_lambda1_series,
+        _reduced_j_lambda1,
         bessel_t_series,
         neumann_t_series,
         lambda n, K: hankel_t_series(1, n, K),
@@ -517,7 +522,7 @@ def test_series_builder_validation():
     with pytest.raises(ValueError):
         reduced_j_series(-1, 12)
     with pytest.raises(ValueError):
-        _reduced_j_lambda1_series(0, 1)
+        _reduced_j_lambda1(0, 1)
     with pytest.raises(ValueError):
         neumann_t_series(0, 1)
     with pytest.raises(ValueError):
@@ -529,7 +534,7 @@ def test_series_builder_validation():
 def test_series_builders_raise_a_domain_error_where_c_k_leaves_the_float_range():
     """k!(n+k)! passes the float range from k = 99 at n = 0."""
     assert reduced_j_series(0, 98).coefficient(98, 0) == 0.0  # underflows, no error
-    for build in (reduced_j_series, _reduced_j_lambda1_series, neumann_t_series):
+    for build in (reduced_j_series, _reduced_j_lambda1, neumann_t_series):
         with pytest.raises(ValueError, match="n = 0, k = 99"):
             build(0, 99)
 
@@ -585,7 +590,7 @@ def test_lambda_target_first_order_neumann_family():
 def test_lambda_target_hankel_is_j_plus_i_n():
     for t in (1.0, 2.0):
         h = lambda_taylor_target("H1", 0, 1, t)
-        jpart = lambda_taylor_target("reducedJ", 0, 1, t)  # different family, only for structure
+        jpart = lambda_taylor_target("J", 0, 1, t)
         npart = lambda_taylor_target("N", 0, 1, t)
         # t^nu H = t^nu J + i t^nu N, and d/dnu is linear
         tj = (
@@ -593,7 +598,7 @@ def test_lambda_target_hankel_is_j_plus_i_n():
         ) / 2.0
         assert h.imag == pytest.approx(npart.real, abs=1e-7)
         assert tj.real == pytest.approx(h.real, abs=1e-9)
-        del jpart
+        assert tj == pytest.approx(jpart, abs=1e-12)
 
 
 def test_lambda_target_second_order_reduced_vs_trigamma_series():
@@ -620,21 +625,83 @@ def test_lambda_target_validation():
     with pytest.raises(ValueError):
         lambda_taylor_target("N", 0, 1, -1.0)
     with pytest.raises(ValueError):
-        lambda_taylor_target("reducedJ", 0, 1, 25.0)  # the closed form is summed to probe 20
+        lambda_taylor_target("reducedJ", 0, 1, 25.0)  # one domain guard: probes up to 20
     with pytest.raises(ValueError, match=r"\|nu\| = 11 outside"):
         lambda_taylor_target("N", 11, 1, 1.0)  # one domain guard for every family
 
 
-def test_lambda_target_at_order_bound():
-    """The finite-difference stencil at |n| = 10 would leave the order range: it
-    raises an error that names n and the step.  The closed-form reducedJ target
-    and the j = 0 value need no stencil and still evaluate there."""
-    for family, n, j in (("N", 10, 1), ("H1", -10, 1), ("H2", 10, 2), ("reducedJ", 10, 2)):
-        with pytest.raises(ValueError, match=rf"^n = {n}: the finite-difference step 0\.001 in the order"):
-            lambda_taylor_target(family, n, j, 1.0)
-    got = lambda_taylor_target("reducedJ", 10, 1, 1.0)
-    assert got == _reduced_j_lambda1_series(10, 63).evaluate(0.5)
-    assert lambda_taylor_target("N", 10, 0, 1.0) == neumann(10.0, 1.0).value
+def test_lambda_target_needs_an_integer_order():
+    with pytest.raises(ValueError, match="integer order"):
+        lambda_taylor_target("N", 0.5, 1, 1.0)
+
+
+def test_order_jet_matches_mpmath_order_derivatives():
+    """The lam^1 and lam^2 targets of reducedJ, N and H1 at n in {-10, 0, 3, 10}
+    are within 1e-12 of max(1, |ref|) of mpmath's order derivatives at 30 digits,
+    the order bound and negative orders included."""
+    mpmath = pytest.importorskip("mpmath")
+    real_order = {
+        "reducedJ": lambda nu, x: mpmath.besselj(nu, x) / x**nu,
+        "N": lambda nu, x: x**nu * mpmath.bessely(nu, x),
+        "H1": lambda nu, x: x**nu * mpmath.hankel1(nu, x),
+    }
+    with mpmath.workdps(30):
+        for family, f in real_order.items():
+            for n in (-10, 0, 3, 10):
+                for x in (0.5, 4.0):
+                    refs = mpmath.taylor(lambda nu: f(nu, mpmath.mpf(x)), n, 2)
+                    for j in (1, 2):
+                        ref = complex(refs[j])
+                        got = lambda_taylor_target(family, n, j, x)
+                        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (family, n, j, x)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_j_series_are_c_k_bit_for_bit(n):
+    """The reducedJ and J series are c_k(n) and c_k(n) 2^n exactly: the order jet's
+    lam^0 prefactor is one exact integer product scaled by powers of 2."""
+    for K in sorted({n + 2, 16, 24, 40, 63}):
+        reduced, tj = reduced_j_series(n, K), bessel_t_series(n, K)
+        for k in range(K + 1):
+            c = (-1.0) ** k / (math.factorial(k) * math.factorial(n + k) * 2.0 ** (n + k))
+            assert reduced.coefficient(k, 0) == c
+            if n + k <= K:
+                assert tj.coefficient(n + k, 0) == c * 2.0**n
+        assert reduced.j_max == tj.j_max == 0
+
+
+def _dlmf_10_8_1(n, K):
+    """{(k, j): coefficient} of t^n N_n(t) in u = t^2/2 from DLMF 10.8.1, with
+    log(t/2) = (1/2) log u - (1/2) log 2: the hand-written block the series
+    builders used before the order jet."""
+    out = {}
+    for k in range(K - n + 1):
+        c = (-1.0) ** k / (math.factorial(k) * math.factorial(n + k) * 2.0 ** (n + k)) * 2.0**n
+        out[n + k, 1] = (1.0 / math.pi) * c
+        out[n + k, 0] = -(math.log(2.0) / math.pi) * c + -(_PSI[k] + _PSI[n + k]) * c / math.pi
+    for k in range(n):
+        out[k, 0] = -(math.factorial(n - k - 1) / math.factorial(k)) * 2.0 ** (n - k) / math.pi
+    return out
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_neumann_series_matches_dlmf_10_8_1(n):
+    """The lam^0 column of N's order jet is DLMF 10.8.1 within 5e-16 relative,
+    term by term."""
+    for K in sorted({n + 2, 16, 24, 40, 63}):
+        s = neumann_t_series(n, K)
+        want = _dlmf_10_8_1(n, K)
+        assert set(s.terms) == set(want)
+        for key, v in want.items():
+            assert abs(s.coefficient(*key) - v) <= 5e-16 * abs(v), (K, key)
+
+
+def test_series_builders_check_c_k_before_reading_psi():
+    """At K = 1000 the prefactor leaves the float range before any psi past the
+    table's 610 entries is read: the c_k error, naming k = 1000, not an IndexError."""
+    for build in (reduced_j_series, neumann_t_series):
+        with pytest.raises(ValueError, match="n = 0, k = 1000: k!"):
+            build(0, 1000)
 
 
 # ---------------------------------------------------------------------------
