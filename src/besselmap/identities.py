@@ -18,8 +18,9 @@ order in the deformation parameter.  The series' variable picks its map
 exp(-lam Sigma), one in u of t the alternating variant as exp(+lam Sigma).
 EQ3P at j = 2, EQ15 and EQ18 share one probe protocol
 (:func:`_probe_report`): the caller builds its base series and names its
-family.  These checkers measure; they do not assume the truncated map
-converges.  The measured residuals are large and stable: the truncated
+family, and each series and target is summed once at all the probes.  These
+checkers measure; they do not assume the truncated map converges.  The
+measured residuals are large and stable: the truncated
 double series (shift window M, exponential order J_max) is a
 formal-logarithm expansion whose partial sums do not tend to the real-order
 functions.  The reports state what was computed, with the reliable order
@@ -252,13 +253,18 @@ def _probe_report(identity_id: str, params: dict, base: LogPowerSeries, family: 
     if any(not 0.0 < x <= 4.0 for x in probes):
         raise ValueError("probes must lie in (0, 4]")
     entry = _lambda_entry(base, params["M"], j)
-    missed = []
-    for x in probes:
-        oracle = lambda_taylor_target(family, n, 0, x)
-        if abs(base.evaluate(0.5 * x * x) - oracle) > 1e-6 * max(1.0, abs(oracle)):
-            missed.append(f"t={x}")
+    # each series and target column is summed once, at all the probes
+    x = np.array(probes, dtype=float)
+    u = 0.5 * x * x
+    oracles = lambda_taylor_target(family, n, 0, x).tolist()
+    missed = [
+        f"t={p}"
+        for p, value, oracle in zip(probes, base.evaluate(u).tolist(), oracles)
+        if abs(value - oracle) > 1e-6 * max(1.0, abs(oracle))
+    ]
     notes = f"probe {', '.join(missed)} outside series convergence for K={base.K_trunc}" if missed else ""
-    distances = [abs(entry.evaluate(0.5 * x * x) - lambda_taylor_target(family, n, j, x)) for x in probes]
+    targets = lambda_taylor_target(family, n, j, x).tolist()
+    distances = [abs(value - target) for value, target in zip(entry.evaluate(u).tolist(), targets)]
     details = {"reliable_order": entry.K_trunc}
     return IdentityReport(identity_id, params, distances, max(distances), 0.0, tol, details, notes)
 

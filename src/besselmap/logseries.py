@@ -27,6 +27,12 @@ mapping and validates it; results of the calculus are built directly from
 arrays and are not validated again.  ``terms`` is a read-only mapping view
 built on demand.
 
+:meth:`LogPowerSeries.evaluate` takes a number or an array of points and sums
+the non-zero terms, kept as vectors once a series is first evaluated, in one
+numpy pass.  Each point adds its terms in increasing (k, j) order and gets the
+bits of the scalar loop that does so; a sum that is not finite raises
+OverflowError, without a numpy warning.
+
 Integration constants are fixed to zero at every stage:
 
     ∫ u**k du            = u**(k+1) / (k+1)          (k != -1)
@@ -137,7 +143,7 @@ class LogPowerSeries:
         Highest reliable power of u.  Terms with k > K_trunc are rejected.
     """
 
-    __slots__ = ("variable_tag", "k_min", "K_trunc", "coef")
+    __slots__ = ("variable_tag", "k_min", "K_trunc", "coef", "_vectors")
 
     def __init__(
         self,
@@ -206,6 +212,18 @@ class LogPowerSeries:
             k_min += int(rows[0])
         _set(self, "k_min", k_min)
         _set(self, "coef", coef)
+        _set(self, "_vectors", None)
+
+    def _term_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, k, j) of the non-zero terms in increasing (k, j) order, built on
+        first use and kept read-only."""
+        if self._vectors is None:
+            rows, cols = np.nonzero(self.coef)
+            vectors = (self.coef[rows, cols], rows + self.k_min, cols)
+            for v in vectors:
+                v.flags.writeable = False
+            _set(self, "_vectors", vectors)
+        return self._vectors
 
     # -- structural properties -------------------------------------------------
 
@@ -218,13 +236,8 @@ class LogPowerSeries:
     def terms(self) -> Mapping[tuple[int, int], complex]:
         """Read-only mapping (k, j) -> coefficient of the non-zero terms, in
         increasing (k, j) order."""
-        rows, cols = np.nonzero(self.coef)
-        return MappingProxyType(
-            {
-                (self.k_min + r, j): a
-                for r, j, a in zip(rows.tolist(), cols.tolist(), self.coef[rows, cols].tolist())
-            }
-        )
+        a, k, j = self._term_vectors()
+        return MappingProxyType(dict(zip(zip(k.tolist(), j.tolist()), a.tolist())))
 
     def coefficient(self, k: int, j: int = 0) -> complex:
         r = k - self.k_min
@@ -327,11 +340,45 @@ class LogPowerSeries:
 
     # -- evaluation and comparison -------------------------------------------------
 
-    def evaluate(self, u: complex) -> complex:
-        """Sum the series at u using the principal branch of the logarithm.
+    def evaluate(self, u: complex | np.ndarray) -> complex | np.ndarray:
+        """Sum the series at u, a number or an array of numbers, using the
+        principal branch of the logarithm.
 
-        The terms are added one at a time in increasing (k, j) order."""
-        u = complex(u)
+        Every point gets the bits of the scalar loop that adds its terms one
+        at a time in increasing (k, j) order, so an array call gives each point
+        the bits of its own call.  A number gives a complex, an array a complex
+        array of its shape.  A series that is singular at u = 0 (a negative
+        power or a log term) raises ValueError there, and a sum that is not
+        finite raises OverflowError.
+
+        The points are summed in one numpy pass when each is a u > 0 and every
+        power k lies in (-100, 100), as everywhere in the checkers.  There every
+        factor but the coefficient is real, so numpy's complex arithmetic rounds
+        as Python's does, and both take u**k by repeated squaring.  Elsewhere
+        they differ: off the positive axis numpy's complex product and quotient
+        round differently, and from |k| = 100 on each switches to its own
+        general power.  Those calls take the loop.
+        """
+        points = np.asarray(u, dtype=complex)
+        us = points.ravel().tolist()
+        a, k, j = self._term_vectors()
+        if len(a) and -100 < k[0] and k[-1] < 100 and all(x.imag == 0 and x.real > 0 for x in us):
+            # cmath.log, not np.log: the two round differently at some points
+            lu = np.array([cmath.log(x) for x in us]).reshape(points.shape + (1,))
+            with np.errstate(all="ignore"):
+                terms = a * points[..., None] ** k * lu**j
+                # accumulate adds in order, as the loop does; + 0.0 turns a -0.0
+                # sum into the +0.0 that the loop, starting from +0.0, gives
+                total = np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
+        else:
+            total = np.array([self._sum_at(x) for x in us], dtype=complex).reshape(points.shape)
+        values = total.ravel().tolist()
+        if not all(map(cmath.isfinite, values)):
+            raise OverflowError("the series' sum is not finite")
+        return values[0] if total.ndim == 0 else total
+
+    def _sum_at(self, u: complex) -> complex:
+        """The scalar loop: the terms added one at a time in increasing (k, j) order."""
         if u == 0:
             if self.k_min < 0 or self.j_max > 0:
                 raise ValueError("series is singular at u = 0 (negative power or log term)")

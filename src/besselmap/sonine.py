@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -85,6 +86,16 @@ def bessel_pair(radius: float = 1.0) -> GeneratingPair:
     )
 
 
+@lru_cache(maxsize=16)
+def _circle_nodes(r: float, nodes: int, odd_only: bool) -> np.ndarray:
+    """tau_j = r exp(2 pi i j / nodes) for j = 0..nodes-1, or for the odd j
+    only; read-only, since the nodes are kept for every later call."""
+    j = np.arange(1, nodes, 2) if odd_only else np.arange(nodes)
+    tau = r * np.exp(1j * (2.0 * math.pi * j / nodes))
+    tau.flags.writeable = False
+    return tau
+
+
 def _contour_samples(pair: GeneratingPair, z: float, nodes: int, half: np.ndarray | None = None) -> np.ndarray:
     """b_j = exp(-z^2 Omega(tau_j) + tau_j/2) at tau_j = r exp(2 pi i j / nodes), j = 0..nodes-1.
 
@@ -92,9 +103,7 @@ def _contour_samples(pair: GeneratingPair, z: float, nodes: int, half: np.ndarra
     angle 2 pi (2k)/nodes has the bits of 2 pi k/(nodes/2), since a power of two
     scales both without rounding.  Given ``half``, only the odd j are sampled.
     """
-    r = pair.contour_radius
-    j = np.arange(nodes) if half is None else np.arange(1, nodes, 2)
-    tau = r * np.exp(1j * (2.0 * math.pi * j / nodes))
+    tau = _circle_nodes(pair.contour_radius, nodes, half is not None)
     b = np.exp(-z * z * pair.omega(tau) + tau / 2.0)
     if half is None:
         return b

@@ -471,21 +471,36 @@ FAMILIES = {
 }
 
 
-def lambda_taylor_target(family: str, n: int, j: int, probe: float) -> complex:
+def lambda_taylor_target(family: str, n: int, j: int, probe: float | np.ndarray) -> complex | np.ndarray:
     """(1/j!) d^j/dlam^j at lam = 0 of the family's real-order function at
     order n + lam, taken at z or t = probe: the lam^j column of its order jet
     summed at u = probe^2/2, for j in {0, 1, 2} and integer |n| <= 10.  The
-    jet has rows up to u^32 at probe <= 4 and up to u^64 beyond."""
+    jet has rows up to u^32 at probe <= 4 and up to u^64 beyond.
+
+    ``probe`` is a number or an array of numbers.  An array is checked once
+    (every probe positive, the largest in the domain), each jet it needs is
+    summed once over it, and each probe gets the bits of its own call."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
     if j not in (0, 1, 2):
         raise ValueError("j must be 0, 1 or 2")
-    if probe <= 0:
+    x = np.asarray(probe, dtype=float)
+    if (x <= 0).any():
         raise ValueError("probe point must be positive")
-    _check_domain(n, probe)
+    _check_domain(n, x.max())
     if n != round(n):
         raise ValueError(f"n = {n}: the order jet is taken at an integer order")
-    return _order_jet(family, round(n), 32 if probe <= 4.0 else 64, 2)[j].evaluate(0.5 * probe * probe)
+    u = 0.5 * x * x
+
+    def column(K: int):
+        return _order_jet(family, round(n), K, 2)[j].evaluate(u)
+
+    near = x <= 4.0
+    if near.all():
+        return column(32)
+    if not near.any():
+        return column(64)
+    return np.where(near, column(32), column(64))
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +531,16 @@ def log_reduced_j(nmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
         # a test that is not true (NaN included) goes on, as a scalar loop would
         if (np.abs(term) < 1e-18 * np.abs(s) + 1e-300).all():
             break
-    ln2 = math.log(2.0)
-    logs = [
-        -m * ln2 - math.lgamma(m + 1.0) + math.log(abs(v)) if v else -math.inf
-        for m, v in enumerate(s.tolist())
-    ]
+    logs = [c + math.log(abs(v)) if v else -math.inf for c, v in zip(_log_reduced_prefactors(nmax), s.tolist())]
     return np.where(s < 0, -1.0, 1.0), np.array(logs)
+
+
+@lru_cache(maxsize=8)
+def _log_reduced_prefactors(nmax: int) -> tuple[float, ...]:
+    """log(2^(-m) / m!) = -m log 2 - lgamma(m + 1) for m = 0..nmax, the left part
+    of ``log_reduced_j``'s sum, so adding log|S_m| keeps its bits."""
+    ln2 = math.log(2.0)
+    return tuple(-m * ln2 - math.lgamma(m + 1.0) for m in range(nmax + 1))
 
 
 def neumann_scaled_table(t: float, pmax: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,12 @@ from besselmap import (
     check_eq15_order,
     check_eq18_order,
     check_integer_shift,
+    hankel_t_series,
+    lambda_coefficients,
+    lambda_taylor_target,
     neumann,
     neumann_t_series,
+    reduced_j_series,
     run_suite,
 )
 from besselmap import identities
@@ -302,6 +306,50 @@ def test_probe_checks_share_the_convergence_note():
     n15 = check_eq15_order(0, 1, K=8, M=4, probes=(4.0,)).notes
     n18 = check_eq18_order(1, 0, 1, K=8, M=4, probes=(4.0,)).notes
     assert n15 == n18 == "probe t=4.0 outside series convergence for K=8"
+
+
+def _probe_protocol_one_at_a_time(base, family, n, j, M, probes):
+    """The protocol with one scalar evaluation per series, target and probe:
+    the distances and the note's missed probes."""
+    entry = lambda_coefficients(base, M, j)[j]
+    missed = []
+    for x in probes:
+        oracle = lambda_taylor_target(family, n, 0, x)
+        if abs(base.evaluate(0.5 * x * x) - oracle) > 1e-6 * max(1.0, abs(oracle)):
+            missed.append(f"t={x}")
+    distances = [abs(entry.evaluate(0.5 * x * x) - lambda_taylor_target(family, n, j, x)) for x in probes]
+    return distances, missed
+
+
+@pytest.mark.parametrize("probes", [(0.5, 1.0, 2.0), (4.0, 0.1, 2.5, 1.0), (1.7,), (3, 0.25)])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_probe_protocol_has_the_bits_of_one_probe_at_a_time(n, probes):
+    """Summing each series once at all its probes gives every distance and
+    note of the protocol run one probe at a time, bit for bit."""
+    cases = [
+        (check_eq15_order(n, 1, 16, 12, probes), neumann_t_series(n, 16), "N", 1, 12, probes),
+        (check_eq15_order(n, 2, 32, 12, probes), neumann_t_series(n, 32), "N", 2, 12, probes),
+        (check_eq15_order(n, 1, 8, 4, probes), neumann_t_series(n, 8), "N", 1, 4, probes),  # t = 4 misses
+        (check_eq18_order(1, n, 1, 16, 12, probes), hankel_t_series(1, n, 16), "H1", 1, 12, probes),
+        (check_eq18_order(2, n, 1, 8, 4, probes), hankel_t_series(2, n, 8), "H2", 1, 4, probes),
+        (check_eq3prime_order(n, 2, 32, 12), reduced_j_series(n, 32), "reducedJ", 2, 12, (0.5, 1.0, 2.0)),
+    ]
+    for rep, base, family, j, M, xs in cases:
+        distances, missed = _probe_protocol_one_at_a_time(base, family, n, j, M, xs)
+        assert [d.hex() for d in rep.observed] == [d.hex() for d in distances]
+        note = f"probe {', '.join(missed)} outside series convergence for K={base.K_trunc}" if missed else ""
+        assert rep.notes == note
+
+
+def test_probe_protocol_keeps_the_order_guard():
+    """The targets' |n| <= 10 guard holds on every probe check."""
+    message = r"\|nu\| = 11 outside the supported order range \[-10.0, 10.0\]"
+    with pytest.raises(ValueError, match=message):
+        check_eq15_order(11, 1, K=20)
+    with pytest.raises(ValueError, match=message):
+        check_eq18_order(1, 11, 1, K=20)
+    with pytest.raises(ValueError, match=message):
+        check_eq3prime_order(11, 2, K=40)
 
 
 def test_probe_note_names_every_probe_that_misses():

@@ -3,10 +3,14 @@
 import cmath
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
-from besselmap import LogPowerSeries, neumann_t_series
+from besselmap import LogPowerSeries, lambda_coefficients, neumann_t_series
+from besselmap.sigmaop import exp_sigma_partial_sums
+from besselmap.specfun import FAMILIES, _order_jet
 
 
 def S(terms, K=10, tag="u-of-z"):
@@ -90,6 +94,131 @@ def test_evaluate_singular_at_zero():
 def test_evaluate_principal_branch():
     s = S({(0, 1): 1.0})
     assert s.evaluate(-1.0) == pytest.approx(cmath.log(-1.0))
+
+
+def _loop_evaluate(s, u):
+    """The scalar loop: the terms added one at a time in increasing (k, j) order."""
+    u = complex(u)
+    if u == 0:
+        if s.k_min < 0 or s.j_max > 0:
+            raise ValueError("singular")
+        return s.coefficient(0, 0)
+    lu = cmath.log(u)
+    total = 0.0 + 0.0j
+    for (k, j), a in s.terms.items():
+        total += a * u**k * lu**j
+    return total
+
+
+def _bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+def _evaluated_series():
+    """Order jets of every family at n = -10..10 (j <= 2), the series builders,
+    their lam-entries and EQ17 ladder partial sums."""
+    out = [c for fam in FAMILIES for n in range(-10, 11) for c in _order_jet(fam, n, 32, 2)]
+    for build in FAMILIES.values():
+        for n in (0, 1, 4, 10):
+            out.append(build(n, 16))
+            out.extend(lambda_coefficients(build(n, 32), 12, 2)[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in (0, 1):
+            ladder = exp_sigma_partial_sums(neumann_t_series(n, 16), 12, 8, 1.0)
+            out.extend(p for p in ladder if np.isfinite(p.coef).all())
+    return out
+
+
+# points where cmath.log and np.log round apart
+_LOG_APART = (1.9004389923009144, 0.701677823652553, 0.6262123773480941)
+# the checkers' probes, points in the band where cmath.log takes log1p, those
+# where np.log rounds apart, and wider ones
+_RNG = random.Random(24)
+_POINTS = (
+    [0.5 * x * x for x in (0.5, 1.0, 2.0, 4.0)]
+    + [_RNG.uniform(0.71, 1.73) for _ in range(6)]
+    + list(_LOG_APART)
+    + [1e-3, 7.9, 200.0]
+)
+
+
+def test_evaluate_has_the_bits_of_the_scalar_loop():
+    """Each point gets exactly the loop's sum, and an array call gives each
+    point the bits of its scalar call; where the loop overflows, evaluate
+    raises OverflowError."""
+    assert all(cmath.log(u) != complex(np.log(complex(u))) for u in _LOG_APART)
+    checked = 0
+    for s in _evaluated_series():
+        finite = []
+        for u in _POINTS:
+            try:
+                want = _loop_evaluate(s, u)
+            except ArithmeticError:
+                want = complex(math.inf)
+            if not cmath.isfinite(want):
+                with pytest.raises(OverflowError):
+                    s.evaluate(u)
+                continue
+            got = s.evaluate(u)
+            assert type(got) is complex
+            assert _bits(got) == _bits(want), (s, u)
+            finite.append((u, got))
+            checked += 1
+        if finite:
+            us, values = zip(*finite)
+            assert [_bits(v) for v in s.evaluate(np.array(us)).tolist()] == [_bits(v) for v in values]
+    assert checked > 3000
+
+
+def test_evaluate_keeps_the_array_shape():
+    s = lambda_coefficients(neumann_t_series(2, 32), 12, 1)[1]
+    grid = np.array([[0.125, 0.5, 2.0], [0.9, 1.1, 1.6]])
+    got = s.evaluate(grid)
+    assert got.shape == (2, 3) and got.dtype == complex
+    assert [_bits(v) for v in got.ravel().tolist()] == [_bits(s.evaluate(u)) for u in grid.ravel().tolist()]
+
+
+def test_evaluate_off_the_positive_axis_and_at_high_powers_keeps_the_loop_bits():
+    """Complex and negative points, and powers |k| >= 100, where numpy's complex
+    arithmetic rounds apart from Python's."""
+    s = S({(-120, 0): 1.0, (-3, 1): 0.5 - 2j, (0, 2): 1.5j, (101, 0): 1 + 1j}, K=101)
+    for u in (0.9, 1.1, 1.3, -0.7, 0.3 + 0.4j, -1.2 - 0.5j):
+        assert _bits(s.evaluate(u)) == _bits(_loop_evaluate(s, u))
+    h = _order_jet("H1", 3, 32, 2)[2]
+    points = [0.4 - 1.1j, -0.8, 1.9 + 0.2j]
+    assert [_bits(v) for v in h.evaluate(np.array(points)).tolist()] == [
+        _bits(_loop_evaluate(h, u)) for u in points
+    ]
+
+
+def test_evaluate_the_empty_series_and_at_zero():
+    empty = LogPowerSeries("u-of-z")
+    assert _bits(empty.evaluate(1.5)) == _bits(0j)
+    assert _bits(empty.evaluate(0.0)) == _bits(0j)
+    assert empty.evaluate(np.array([0.0, 1.5])).tolist() == [0j, 0j]
+    s = S({(0, 0): 2.5 - 0.0j, (3, 0): 1.0})
+    assert _bits(s.evaluate(0.0)) == _bits(_loop_evaluate(s, 0.0))
+    assert s.evaluate(np.array([0.0, 2.0])).tolist() == [2.5, 10.5]
+    with pytest.raises(ValueError, match="singular"):
+        S({(0, 1): 1.0}).evaluate(np.array([1.0, 0.0]))
+    # at u = 1 the term is (0.0, -0.0); the loop's sum starts from +0.0
+    log_only = S({(0, 1): -1.0 - 1.0j})
+    assert _bits(log_only.evaluate(1.0)) == _bits(_loop_evaluate(log_only, 1.0)) == _bits(0j)
+
+
+def test_evaluate_raises_overflow_without_a_warning():
+    """The powers and the products overflow silently inside; the sum that is not
+    finite raises OverflowError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, u in (
+            (S({(-60, 0): 1.0}, K=0), 1e-8),  # u**k overflows
+            (S({(90, 0): 1e300}, K=90), 10.0),  # the product overflows
+        ):
+            with pytest.raises(OverflowError):
+                s.evaluate(u)
+            with pytest.raises(OverflowError):
+                s.evaluate(np.array([1.0, u]))
 
 
 # ---------------------------------------------------------------------------

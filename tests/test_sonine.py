@@ -9,6 +9,7 @@ from scipy import special as sp
 from besselmap import a_function, bessel_pair, bilinear_check, k_bessel, z_function
 from besselmap.sonine import (
     GeneratingPair,
+    _circle_nodes,
     _contour_samples,
     _contour_sums,
     _symmetric_partials,
@@ -142,6 +143,16 @@ def test_nested_samples_have_the_bits_of_a_full_grid(z):
     while len(b) < 4096:
         b = _contour_samples(pair, z, 2 * len(b), b)
         assert np.array_equal(b, _contour_samples(pair, z, len(b)))
+
+
+def test_circle_nodes_are_kept_read_only():
+    """The nodes depend only on (r, nodes, odd only), so each set is computed
+    once and shared; no sampler may write into it."""
+    tau = _circle_nodes(0.7, 512, True)
+    assert _circle_nodes(0.7, 512, True) is tau
+    assert len(tau) == 256 and not tau.flags.writeable
+    full = _circle_nodes(0.7, 512, False)
+    assert np.array_equal(full[1::2], tau)
 
 
 def test_z_floor_bounds_the_complex_mean():

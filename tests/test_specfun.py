@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy import special as sp
 
@@ -21,6 +22,7 @@ from besselmap import (
 )
 from besselmap.logseries import LogPowerSeries
 from besselmap.specfun import (
+    FAMILIES,
     _PSI,
     _halfline_quadrature,
     _neumann_log_series,
@@ -628,6 +630,32 @@ def test_lambda_target_validation():
         lambda_taylor_target("reducedJ", 0, 1, 25.0)  # one domain guard: probes up to 20
     with pytest.raises(ValueError, match=r"\|nu\| = 11 outside"):
         lambda_taylor_target("N", 11, 1, 1.0)  # one domain guard for every family
+
+
+def test_lambda_target_takes_an_array_of_probes():
+    """An array call gives each probe the bits of its own call, on both sides of
+    the switch from the u^32 jet to the u^64 jet at probe 4."""
+    probes = np.array([0.5, 4.0, 4.5, 20.0, 1.3])
+    for family in FAMILIES:
+        for n, j in ((0, 0), (3, 1), (-10, 2)):
+            for xs in (probes, probes[:2], probes[2:4], probes.reshape(1, 5)):
+                got = lambda_taylor_target(family, n, j, xs)
+                assert got.shape == xs.shape
+                want = [lambda_taylor_target(family, n, j, x) for x in xs.ravel().tolist()]
+                assert [(v.real.hex(), v.imag.hex()) for v in got.ravel().tolist()] == [
+                    (v.real.hex(), v.imag.hex()) for v in want
+                ]
+
+
+def test_lambda_target_checks_every_probe_of_an_array():
+    with pytest.raises(ValueError, match="positive"):
+        lambda_taylor_target("N", 0, 1, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"\|z\| = 25.0 outside"):
+        lambda_taylor_target("N", 0, 1, np.array([25.0, 1.0]))
+    with pytest.raises(ValueError, match=r"\|z\| = nan outside"):
+        lambda_taylor_target("N", 0, 1, np.array([1.0, math.nan]))
+    with pytest.raises(ValueError, match=r"\|nu\| = 11 outside"):
+        lambda_taylor_target("N", 11, 1, np.array([0.5, 1.0]))
 
 
 def test_lambda_target_needs_an_integer_order():
