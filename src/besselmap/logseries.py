@@ -29,9 +29,10 @@ built on demand.
 
 :meth:`LogPowerSeries.evaluate` takes a number or an array of points and sums
 the non-zero terms, kept as vectors once a series is first evaluated, in one
-numpy pass.  Each point adds its terms in increasing (k, j) order and gets the
-bits of the scalar loop that does so; a sum that is not finite raises
-OverflowError, without a numpy warning.
+numpy pass.  Each point adds its terms in increasing (k, j) order, with log u
+from ``cmath.log``; at points u > 0 and powers |k| < 100, which is every point
+the checkers sum at, that gives the bits of a scalar loop over the terms.  A
+sum that is not finite raises OverflowError, without a numpy warning.
 
 Integration constants are fixed to zero at every stage:
 
@@ -344,50 +345,38 @@ class LogPowerSeries:
         """Sum the series at u, a number or an array of numbers, using the
         principal branch of the logarithm.
 
-        Every point gets the bits of the scalar loop that adds its terms one
-        at a time in increasing (k, j) order, so an array call gives each point
-        the bits of its own call.  A number gives a complex, an array a complex
-        array of its shape.  A series that is singular at u = 0 (a negative
-        power or a log term) raises ValueError there, and a sum that is not
-        finite raises OverflowError.
-
-        The points are summed in one numpy pass when each is a u > 0 and every
-        power k lies in (-100, 100), as everywhere in the checkers.  There every
-        factor but the coefficient is real, so numpy's complex arithmetic rounds
-        as Python's does, and both take u**k by repeated squaring.  Elsewhere
-        they differ: off the positive axis numpy's complex product and quotient
-        round differently, and from |k| = 100 on each switches to its own
-        general power.  Those calls take the loop.
+        The non-zero terms are summed in one numpy pass over all the points,
+        each point adding them in increasing (k, j) order.  A number gives a
+        complex, an array a complex array of its shape, and an array call gives
+        each point the bits of its own call.  A series that is singular at
+        u = 0 (a negative power or a log term) raises ValueError there, and a
+        sum that is not finite raises OverflowError.
         """
         points = np.asarray(u, dtype=complex)
-        us = points.ravel().tolist()
         a, k, j = self._term_vectors()
-        if len(a) and -100 < k[0] and k[-1] < 100 and all(x.imag == 0 and x.real > 0 for x in us):
-            # cmath.log, not np.log: the two round differently at some points
-            lu = np.array([cmath.log(x) for x in us]).reshape(points.shape + (1,))
-            with np.errstate(all="ignore"):
-                terms = a * points[..., None] ** k * lu**j
-                # accumulate adds in order, as the loop does; + 0.0 turns a -0.0
-                # sum into the +0.0 that the loop, starting from +0.0, gives
-                total = np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
-        else:
-            total = np.array([self._sum_at(x) for x in us], dtype=complex).reshape(points.shape)
+        if not len(a):
+            total = np.zeros(points.shape, dtype=complex)
+            return complex(total) if total.ndim == 0 else total
+        zero = points == 0
+        at_zero = bool(zero.any())
+        if at_zero:
+            if self.k_min < 0 or self.j_max > 0:
+                raise ValueError("series is singular at u = 0 (negative power or log term)")
+            # summed at u = 1 below, then replaced by the constant term
+            points = np.where(zero, 1.0, points)
+        # cmath.log, not np.log: the two round differently at some points
+        lu = np.array([cmath.log(x) for x in points.ravel().tolist()]).reshape(points.shape + (1,))
+        with np.errstate(all="ignore"):
+            terms = a * points[..., None] ** k * lu**j
+            # accumulate adds in order, as a scalar loop does; + 0.0 turns a
+            # -0.0 sum into the +0.0 that a loop starting from +0.0 gives
+            total = np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
+        if at_zero:
+            total = np.where(zero, self.coefficient(0, 0), total)
         values = total.ravel().tolist()
         if not all(map(cmath.isfinite, values)):
             raise OverflowError("the series' sum is not finite")
         return values[0] if total.ndim == 0 else total
-
-    def _sum_at(self, u: complex) -> complex:
-        """The scalar loop: the terms added one at a time in increasing (k, j) order."""
-        if u == 0:
-            if self.k_min < 0 or self.j_max > 0:
-                raise ValueError("series is singular at u = 0 (negative power or log term)")
-            return self.coefficient(0, 0)
-        lu = cmath.log(u)
-        total = 0.0 + 0.0j
-        for (k, j), a in self.terms.items():
-            total += a * u**k * lu**j
-        return total
 
     def compare(self, other: "LogPowerSeries", order: int) -> float:
         """Max coefficient distance over powers k <= order (absent terms are zero)."""

@@ -478,8 +478,9 @@ def lambda_taylor_target(family: str, n: int, j: int, probe: float | np.ndarray)
     jet has rows up to u^32 at probe <= 4 and up to u^64 beyond.
 
     ``probe`` is a number or an array of numbers.  An array is checked once
-    (every probe positive, the largest in the domain), each jet it needs is
-    summed once over it, and each probe gets the bits of its own call."""
+    (every probe positive, the largest in the domain) and its jet is summed
+    once over it, with the row count the largest probe picks; so a probe gets
+    the bits of its own call when all the probes lie on its side of 4."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
     if j not in (0, 1, 2):
@@ -487,20 +488,11 @@ def lambda_taylor_target(family: str, n: int, j: int, probe: float | np.ndarray)
     x = np.asarray(probe, dtype=float)
     if (x <= 0).any():
         raise ValueError("probe point must be positive")
-    _check_domain(n, x.max())
+    largest = x.max()
+    _check_domain(n, largest)
     if n != round(n):
         raise ValueError(f"n = {n}: the order jet is taken at an integer order")
-    u = 0.5 * x * x
-
-    def column(K: int):
-        return _order_jet(family, round(n), K, 2)[j].evaluate(u)
-
-    near = x <= 4.0
-    if near.all():
-        return column(32)
-    if not near.any():
-        return column(64)
-    return np.where(near, column(32), column(64))
+    return _order_jet(family, round(n), 32 if largest <= 4.0 else 64, 2)[j].evaluate(0.5 * x * x)
 
 
 # ---------------------------------------------------------------------------
