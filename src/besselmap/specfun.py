@@ -5,9 +5,9 @@ The evaluators are deliberately series/quadrature based and self-contained:
 * ``bessel_j``   -- ascending power series, summed to relative 1e-16, at every
   non-integer order; exact integers reduce to n, z >= 0 by one sign.
 * ``neumann``    -- the positive/negative-order combination, sin and cos of
-  nu pi taken from nu minus its nearest integer; within 1e-8 of an integer the
-  logarithmic series at that integer (DLMF 10.8.1), with the reflection
-  N_-n = (-1)^n N_n.
+  nu pi taken from nu minus its nearest integer; at an integer n and within
+  1e-8 of one, the order jet of N at n summed at delta = nu - n (its lam^0,
+  lam^1 and lam^2 columns, negative n included).
 * ``hankel``     -- J +/- i N.
 * ``k_bessel`` -- a one-lane run of the half-line trapezoid (shared with
   ``sonine.a_function``) after an exponential substitution that makes the integrand decay
@@ -82,13 +82,10 @@ class EvalResult:
 # ---------------------------------------------------------------------------
 
 # _PSI[m - 1] = psi(m) = -Euler's constant + H_(m-1) (DLMF 5.4.14), built once
-# by the running sum psi(m + 1) = psi(m) + 1/m.  610 entries are enough:
-# the logarithmic series of N_n reads psi(n + k + 1) for k < 600 with n <= 10
-# (neumann guards the order first), and the order jets raise on c_k(n),
-# which needs n + k <= 170, before they read past psi(171).
-_PSI = tuple(
-    accumulate((1.0 / m for m in range(1, int(_MAX_ORDER) + _SERIES_LIMIT)), initial=-0.5772156649015329)
-)
+# by the running sum psi(m + 1) = psi(m) + 1/m.  171 entries are enough: the
+# order jets, its only reader, raise on c_k(n), whose k!(m-1)! leaves the float
+# range from m = 172, before they read past psi(171).
+_PSI = tuple(accumulate((1.0 / m for m in range(1, 171)), initial=-0.5772156649015329))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +106,8 @@ def bessel_j(nu: float, z: float) -> EvalResult:
     once k > -nu (before that the terms dip near the poles of 1/Gamma(nu+k+1)).
     Every non-integer order takes the series, however near an integer; an
     exact integer n takes J_-n = (-1)^n J_n and J_n(-z) = (-1)^n J_n(z) as one
-    sign, z = 0 included."""
+    sign, z = 0 included.  A negative order at tiny z whose value leaves the
+    float range raises OverflowError."""
     nu = float(nu)
     z = float(z)
     _check_domain(nu, z)
@@ -117,23 +115,26 @@ def bessel_j(nu: float, z: float) -> EvalResult:
     if nu != n:
         if z <= 0:
             raise ValueError("z must be positive for non-integer order")
-        return _j_series(nu, z)
+        try:
+            return _j_series(nu, z)
+        except OverflowError:
+            raise OverflowError(f"J_nu(z) at nu = {nu}, z = {z} leaves the float range") from None
     r = EvalResult(1.0 if n == 0 else 0.0, 0.0, 1) if z == 0.0 else _j_series(float(abs(n)), abs(z))
     if n % 2 and (n < 0) != (z < 0):
         return EvalResult(-r.value, r.err_estimate, r.effort)
     return r
 
 
-# Rounding allowance of both ascending series (J and the logarithmic N), per
-# unit of summed |addend|.  At 4 eps a sweep of n = 0..10, z in [0.01, 20]
-# against mpmath reached error/estimate 0.74 on the logarithmic series; 8 eps
-# leaves a margin of two.  J at 8 eps peaks at 0.55 over nu in [-10, 10] and near integers.
+# Rounding allowance of the ascending series of J and of N's order jet, per
+# unit of summed |addend|.  Against mpmath, J's error/estimate peaks at 0.55
+# over nu in [-10, 10] and near integers, and the jet's at 0.30 on
+# n = -10..10, z in [0.01, 20], at and within 1e-8 of the integers.
 _SERIES_ROUNDING = 8.0 * _EPS
 
 
 def _j_series(nu: float, z: float) -> EvalResult:
     """The ascending series of J_nu(z), z > 0, for callers that have already
-    checked the domain."""
+    checked the domain; OverflowError where a term leaves the float range."""
     half = 0.5 * z
     # Gamma(nu + 1) = nu Gamma(nu): nu + 1 would be rounded wherever it changes
     # binade (nu in [1, 2), [3, 4), ...), an error of |psi(nu + 1)| ulp / 2 that
@@ -149,40 +150,9 @@ def _j_series(nu: float, z: float) -> EvalResult:
         if abs(term) < 1e-16 * abs(total) + 1e-300 and k + nu > 0:
             break
         k += 1
+    if not abs_sum < math.inf:
+        raise OverflowError("the ascending series leaves the float range")
     return EvalResult(total, abs(term) + _SERIES_ROUNDING * abs_sum, k)
-
-
-def _neumann_log_series(n: int, z: float) -> EvalResult:
-    """N_n(z) by the textbook logarithmic expansion, for callers that have
-    already checked the domain: integer 0 <= n <= 10 and 0 < z <= 20.
-
-    err_estimate bounds the series' own error: the size of the last term
-    summed, a few ulps of every addend (the cancellation), and the error of J_n
-    amplified by the (2/pi) log(z/2) factor that multiplies it.
-    """
-    half = 0.5 * z
-    jn = _j_series(float(n), z)
-    log_factor = (2.0 / math.pi) * math.log(half)
-    total = log_factor * jn.value.real
-    abs_sum = abs(total)
-    for k in range(n):
-        addend = (math.factorial(n - k - 1) / math.factorial(k)) * half ** (2 * k - n) / math.pi
-        total -= addend
-        abs_sum += addend
-    term = half**n / math.factorial(n)
-    k = 0
-    effort = jn.effort + n
-    while k < _SERIES_LIMIT:
-        contrib = term * (_PSI[k] + _PSI[n + k]) / math.pi
-        total -= contrib
-        abs_sum += abs(contrib)
-        effort += 1
-        if abs(contrib) < 1e-17 * abs(total) + 1e-300:
-            break
-        term *= -(half * half) / ((k + 1) * (n + k + 1))
-        k += 1
-    err = abs(term) + _SERIES_ROUNDING * abs_sum + abs(log_factor) * jn.err_estimate
-    return EvalResult(total, err, effort)
 
 
 def _sin_cos_pi(nu: float) -> tuple[float, float]:
@@ -197,8 +167,10 @@ def neumann(nu: float, z: float) -> EvalResult:
     """N_nu(z).
 
     Order nu at least 1e-8 from the nearest integer n: the positive/negative-
-    order combination (J_nu cos(nu pi) - J_-nu) / sin(nu pi).  Otherwise the
-    logarithmic series at n, reflected as N_-n = (-1)^n N_n for n < 0.
+    order combination (J_nu cos(nu pi) - J_-nu) / sin(nu pi), which loses
+    about eps / |nu - n| to cancellation.  Otherwise N's order jet at n summed
+    at delta = nu - n (``_neumann_jet``), whose estimate covers the offset.
+    A value or estimate that leaves the float range raises OverflowError.
     """
     nu = float(nu)
     z = float(z)
@@ -206,18 +178,74 @@ def neumann(nu: float, z: float) -> EvalResult:
         raise ValueError("z must be positive")
     _check_domain(nu, z)
     n = round(nu)
-    # Within 1e-8 of an integer the combination below loses about
-    # eps / |nu - n| to cancellation, so the log series at n stands in; the
-    # estimate leaves out the order offset (ROADMAP item 3).
-    if abs(nu - n) < _NEAR_INTEGER:
-        r = _neumann_log_series(abs(n), z)
-        return EvalResult(-r.value, r.err_estimate, r.effort) if n < 0 and n % 2 else r
-    jp = _j_series(nu, z)
-    jm = _j_series(-nu, z)
-    s, c = _sin_cos_pi(nu)
-    val = (jp.value.real * c - jm.value.real) / s
-    err = (jp.err_estimate + jm.err_estimate + 1e-16 * (abs(jp.value) + abs(jm.value))) / abs(s)
-    return EvalResult(val, err, jp.effort + jm.effort)
+    try:
+        if abs(nu - n) < _NEAR_INTEGER:
+            val, err, effort = _neumann_jet(n, nu - n, z)
+        else:
+            jp = _j_series(nu, z)
+            jm = _j_series(-nu, z)
+            s, c = _sin_cos_pi(nu)
+            val = (jp.value.real * c - jm.value.real) / s
+            err = (jp.err_estimate + jm.err_estimate + 1e-16 * (abs(jp.value) + abs(jm.value))) / abs(s)
+            effort = jp.effort + jm.effort
+        if err < math.inf:
+            return EvalResult(val, err, effort)
+    except OverflowError:
+        pass
+    raise OverflowError(f"N_nu(z) at nu = {nu}, z = {z} leaves the float range")
+
+
+@lru_cache(maxsize=None)
+def _neumann_jet_rows(n: int) -> list:
+    """rows[k - min(n, 0)][p][j], k up to 64: the coefficient of lam^p u^k
+    (log u)^j, p <= 2 and j < 4, in t^(n+lam) N_(n+lam)(t), from N's order jet
+    at n, as Python floats.  ``neumann`` guards the order first, so this holds
+    at most 21 entries."""
+    return np.stack([c._aligned(min(n, 0), 64, 4).real for c in _order_jet("N", n, 64, 2)], axis=1).tolist()
+
+
+def _neumann_jet(n: int, delta: float, z: float) -> tuple[float, float, int]:
+    """(value, estimate, rows) of N_(n+delta)(z) = z^-(n+delta) sum_p delta^p
+    col_p(u), u = z^2/2, col_p the lam^p column of N's order jet at n.
+
+    One loop over the rows u^k, k = min(n, 0)..64, keeps one running sum s_j
+    per log power j and the rows' magnitude sum_j |t_j| |log u|^j; it stops at
+    the first row past k = n below 1e-17 of that magnitude (the first row never
+    is).  z^-n rides in u^k from the start, so a term overflows only where N
+    does; the value is s_0 + L (s_1 + L (s_2 + L s_3)), L = log u, times
+    z^-delta.  At delta = 0 it is the lam^0 column alone.
+
+    The estimate is the last row's magnitude, ``_SERIES_ROUNDING`` times the
+    magnitude sum, and |delta|^3 times a bound on the lam^3 column, which the
+    jet does not carry: (|L| + 5)^3 / 6 times the magnitude sum.  Each row's
+    lam-dependence is exp(b_1 lam + b_2 lam^2 + ...), with u^lam giving
+    b_1 = L plus a psi(m) of a 1/Gamma or Gamma factor and log 2, |b_1| <
+    |L| + 5 where the rows are largest; the lam^3 coefficient of exp((|L| + 5)
+    lam) is that bound.  Against mpmath's third order derivative in nu the
+    lam^3 column reaches at most 0.44 of it, over n = -10..10 at 14 geometric
+    z in [0.01, 20] and at z = 1.2, sqrt(2) and 1.7, where |L| is smallest.
+    """
+    L = 2.0 * math.log(z) - math.log(2.0)  # log u, finite where u underflows
+    aL = abs(L)
+    u = 0.5 * z * z
+    w = z**-n if n >= 0 else (0.5 * z) ** n  # u^min(n, 0) z^-n
+    s0 = s1 = s2 = s3 = mag = 0.0
+    for i, ((a0, a1, _, _), (b0, b1, b2, _), (c0, c1, c2, c3)) in enumerate(_neumann_jet_rows(n)):
+        t0 = (a0 + delta * (b0 + delta * c0)) * w
+        t1 = (a1 + delta * (b1 + delta * c1)) * w
+        t2 = delta * (b2 + delta * c2) * w
+        t3 = delta * delta * c3 * w
+        s0 += t0
+        s1 += t1
+        s2 += t2
+        s3 += t3
+        row = abs(t0) + aL * (abs(t1) + aL * (abs(t2) + aL * abs(t3)))
+        mag += row
+        if i > n and row < 1e-17 * mag:  # i = k - min(n, 0): k > n, or row 0 at n < 0
+            break
+        w *= u
+    err = row + (_SERIES_ROUNDING + abs(delta) ** 3 * (aL + 5.0) ** 3 / 6.0) * mag
+    return (s0 + L * (s1 + L * (s2 + L * s3))) * z**-delta, err * z**-delta, i + 1
 
 
 def hankel(kind: int, nu: float, z: float) -> EvalResult:

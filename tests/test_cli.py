@@ -61,6 +61,36 @@ def test_eval_text_output(run_cli):
     assert "0.4610685" in r.stdout
 
 
+def test_eval_text_output_of_a_real_and_a_complex_value(run_cli):
+    r = run_cli("eval", "--fn", "N", "--order", "2", "--arg", "1")
+    assert r.returncode == 0
+    assert r.stdout == "N(order=2.0, arg=1.0) = -1.650682607 (err<=2.97e-15, effort=12)\n"
+    r = run_cli("eval", "--fn", "H1", "--order", "2", "--arg", "1")
+    assert r.returncode == 0
+    assert r.stdout == "H1(order=2.0, arg=1.0) = 0.1149034849-1.650682607i (err<=3.21e-15, effort=21)\n"
+
+
+def test_series_text_output(run_cli):
+    r = run_cli("series", "--family", "N", "--n", "0", "--K", "2")
+    assert r.returncode == 0
+    assert r.stdout == (
+        "series N n=0 [u-of-t, K_trunc=2]\n"
+        "  u^0: +0.146831305044\n"
+        "  u^0*(log u)^1: +0.318309886184\n"
+        "  u^1: +0.244894233662\n"
+        "  u^1*(log u)^1: -0.159154943092\n"
+        "  u^2: -0.0505061470942\n"
+        "  u^2*(log u)^1: +0.0198943678865\n"
+    )
+
+
+def test_eval_overflow_at_tiny_z_names_the_order_and_argument(run_cli):
+    r = run_cli("--format", "json", "eval", "--fn", "N", "--order", "1", "--arg", "1e-320")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: N_nu(z) at nu = 1.0, z = 1e-320 leaves the float range\n"
+
+
 def test_eval_pair_functions_from_registry(run_cli):
     r = run_cli("--format", "json", "eval", "--fn", "Z", "--order", "0", "--arg", "1.0",
                 "--pair", "bessel")

@@ -451,8 +451,9 @@ def test_eq2_roundtrip_machine_level():
 
 @pytest.mark.parametrize("nu", [1.0, 2.000000005, -3.0, 4.0 - 5e-9])
 def test_eq2_roundtrip_rejects_orders_neumann_takes_as_integers(nu):
-    """Within specfun._NEAR_INTEGER of an integer sin(nu pi) is 0 or neumann's log
-    series stands in for the combination EQ2 checks, so the check would pass untested."""
+    """Within specfun._NEAR_INTEGER of an integer sin(nu pi) is 0 or neumann sums
+    its order jet in place of the combination EQ2 checks, so the check would
+    pass untested."""
     with pytest.raises(ValueError, match=f"nu = {nu}"):
         check_eq2_roundtrip(nus=(0.3, nu))
     assert check_eq2_roundtrip(nus=(2.00000002,), zs=(1.0,)).verdict == "pass"
@@ -499,12 +500,9 @@ def test_eq3_wronskian_holds_within_the_evaluators_estimates():
     assert not bad
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: within 1e-8 of an integer neumann returns the log series "
-    "at the integer, whose estimate leaves out the order offset",
-)
-def test_eq3_wronskian_inside_the_log_series_zone():
+def test_eq3_wronskian_inside_the_near_integer_zone():
+    """100 points at |nu - n| in [1e-9, 1e-8], where neumann sums the order
+    jet at n: the Wronskian holds within the evaluators' estimates."""
     points = _eq3_points(random.Random(20261019), 300, (1e-9, 1e-8))
     zone = [(nu, z) for nu, z in points if 0 < abs(nu - round(nu)) < 1e-8]
     assert all(check_eq3_closure((nu,), (z,)).verdict == "pass" for nu, z in zone)

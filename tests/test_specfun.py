@@ -2,6 +2,9 @@
 
 import math
 import random
+import re
+import statistics
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from besselmap.specfun import (
     FAMILIES,
     _PSI,
     _halfline_quadrature,
-    _neumann_log_series,
+    _neumann_jet,
     _order_jet,
     log_reduced_j,
     neumann_scaled_table,
@@ -53,10 +56,10 @@ def test_digamma_at_one_independent_oracle():
 
 
 def test_psi_table_matches_mpmath_through_growth():
-    """_PSI[m - 1] = psi(m) = -gamma + H_(m-1) at m = 1..610: the running sum
-    grows to every entry the logarithmic series can read (n + 600 <= 610)."""
+    """_PSI[m - 1] = psi(m) = -gamma + H_(m-1) at m = 1..171: the running sum
+    grows to every entry the order jets can read (c_k(n) raises from m = 172)."""
     mpmath = pytest.importorskip("mpmath")
-    assert len(_PSI) == 610
+    assert len(_PSI) == 171
     for m, v in enumerate(_PSI, start=1):
         with mpmath.workdps(30):
             ref = float(mpmath.digamma(m))
@@ -211,15 +214,20 @@ def test_n_half_order_closed_form():
 def test_n_integer_limit_against_oracle():
     r = neumann(0.0, 2.0)
     assert r.value.real == pytest.approx(0.510375672649745, abs=1e-9)
-    # err_estimate is the logarithmic series' own error bound
+    # err_estimate is the order jet sum's own error bound
     assert r.err_estimate < 1e-8
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 3.0])
 def test_n_integer_vs_scipy(n, z):
+    """Both signs of n against mpmath at 40 digits within the estimate."""
+    mpmath = pytest.importorskip("mpmath")
     assert neumann(float(n), z).value.real == pytest.approx(float(sp.yn(n, z)), abs=1e-9)
-    assert _neumann_log_series(n, z).value.real == pytest.approx(float(sp.yn(n, z)), rel=1e-11, abs=1e-12)
+    for m in (n, -n):
+        r = neumann(float(m), z)
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(r.value.real) - mpmath.bessely(m, z)) <= r.err_estimate
 
 
 @pytest.mark.parametrize("nu", [0.3, 1.7, 2.5, -0.4])
@@ -262,14 +270,10 @@ def test_n_and_h1_estimates_bound_the_error_at_random_points():
     assert not _n_and_h1_misses(_random_points())
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: within 1e-8 of an integer neumann returns the log series "
-    "at the integer, whose estimate leaves out the order offset",
-)
-def test_n_estimate_bounds_the_error_inside_the_log_series_zone():
+def test_n_estimate_bounds_the_error_inside_the_near_integer_zone():
     """40 seeded orders n +/- delta, delta log-uniform in [1e-9, 1e-8], the
-    near-integer order class of the evaluators benchmark."""
+    near-integer order class of the evaluators benchmark, where neumann sums
+    the order jet at n."""
     rng = random.Random(20261019)
     points = []
     while len(points) < 40:
@@ -289,37 +293,149 @@ def test_n_domain_error():
 @pytest.mark.parametrize("n", [10, -10])
 @pytest.mark.parametrize("z", [0.01, 0.5, 3.0, 12.0, 20.0])
 def test_n_order_ten_at_the_domain_edge(n, z):
-    """|n| = 10 is inside the domain and evaluates like every integer order."""
+    """|n| = 10 is inside the domain and evaluates like every integer order,
+    within its estimate of mpmath at 40 digits."""
     mpmath = pytest.importorskip("mpmath")
     r = neumann(float(n), z)
-    oracle = _neumann_log_series(10, z).value.real  # N_-10 = N_10
-    ref = float(mpmath.bessely(n, mpmath.mpf(z)))
-    assert r.value.real == oracle
-    assert abs(r.value.real - ref) <= r.err_estimate
-    assert r.value.real == pytest.approx(ref, rel=1e-6)
+    with mpmath.workdps(40):
+        ref = mpmath.bessely(n, z)
+        assert abs(mpmath.mpf(r.value.real) - ref) <= r.err_estimate
+    assert r.value.real == pytest.approx(float(ref), rel=1e-6)
     h1, h2 = hankel(1, float(n), z).value, hankel(2, float(n), z).value
     assert h1.imag == r.value.real == -h2.imag
     assert h1.real == h2.real == bessel_j(float(n), z).value.real
 
 
-def test_n_integer_order_is_the_log_series_within_its_estimate():
-    """Integer order returns the logarithmic series bit for bit, and its
-    err_estimate bounds the error against mpmath at 40 digits on the grid
-    n = -10..10 x 40 geometric z in [0.01, 20].  N_-n = (-1)^n N_n exactly,
-    so one mpmath reference serves both signs."""
+_INTEGER_GRID_Z = [0.01 * 2000.0 ** (i / 39) for i in range(40)]  # 40 geometric z in [0.01, 20]
+
+
+def test_n_integer_order_is_within_its_estimate_at_both_signs():
+    """On n = -10..10 x 40 geometric z in [0.01, 20], err_estimate bounds the
+    error against mpmath at 40 digits, with no floor, and the relative error is
+    at most 7.0e-8 (the logarithmic series' worst, near z = 20, where the
+    ascending series cancel).  N_-n = (-1)^n N_n, so one reference serves both
+    signs."""
     mpmath = pytest.importorskip("mpmath")
-    misses = []
-    for n in range(11):
-        for i in range(40):
-            z = 0.01 * 2000.0 ** (i / 39)
-            r, reflected = neumann(float(n), z), neumann(float(-n), z)
-            assert r == _neumann_log_series(n, z)
-            assert (reflected.value, reflected.err_estimate) == ((-1.0) ** n * r.value, r.err_estimate)
-            with mpmath.workdps(40):
-                err = float(abs(mpmath.mpf(r.value.real) - mpmath.bessely(n, z)))
-            if err > r.err_estimate:
-                misses.append((n, z, err, r.err_estimate))
+    misses, worst = [], 0.0
+    with mpmath.workdps(40):
+        for n in range(11):
+            for z in _INTEGER_GRID_Z:
+                ref = mpmath.bessely(n, z)
+                for m, want in {n: ref, -n: (-1) ** n * ref}.items():
+                    r = neumann(float(m), z)
+                    err = abs(mpmath.mpf(r.value.real) - want)
+                    if err > r.err_estimate:
+                        misses.append((m, z, float(err), r.err_estimate))
+                    worst = max(worst, float(err / abs(want)))
     assert not misses
+    assert worst <= 7.0e-8
+
+
+def test_n_integer_estimate_stays_tight():
+    """The median err_estimate / |value| on the integer grid stays within 2x of
+    the 1.78e-15 that both the logarithmic series and the order jet read, so
+    the estimate cannot grow into uselessness unseen."""
+    ratios = [abs(r.err_estimate / r.value) for n in range(-10, 11) for z in _INTEGER_GRID_Z for r in [neumann(n, z)]]
+    assert statistics.median(ratios) <= 2.0 * 1.78e-15
+
+
+def test_n_estimate_bounds_the_error_on_a_zone_sweep():
+    """300 seeded points n + delta, n = -10..10, |delta| log-uniform in
+    [1e-9, 1e-8], z geometric in [0.01, 20]: the order jet's estimate bounds
+    its error against mpmath at 40 digits, with no floor."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261020)
+    misses = []
+    for i in range(300):
+        n = i % 21 - 10
+        delta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -8.0)
+        nu = n + (delta if abs(n + delta) <= 10.0 else -delta)
+        z = 0.01 * 2000.0 ** rng.random()
+        r = neumann(nu, z)
+        with mpmath.workdps(40):
+            err = abs(mpmath.mpf(r.value.real) - mpmath.bessely(nu, z))
+        if err > r.err_estimate:
+            misses.append((nu, z, float(err), r.err_estimate))
+    assert not misses
+
+
+@pytest.mark.parametrize("n", [-10, -3, 0, 4, 10])
+def test_n_jet_estimate_covers_the_third_order_term(n):
+    """At delta = +/-1e-3, outside the zone, the lam^3 term the jet leaves out
+    dominates the error of its sum.  The estimate covers delta^3 times the
+    third order derivative in nu of z^(nu - n) N_nu(z) / 3! from mpmath.diff,
+    and bounds the error against mpmath's N_(n + delta), z = sqrt(2) (log u = 0)
+    included."""
+    mpmath = pytest.importorskip("mpmath")
+    for z in (0.01, 0.5, math.sqrt(2.0), 3.0, 12.0, 20.0):
+        with mpmath.workdps(40):
+            c3 = mpmath.diff(lambda nu: mpmath.mpf(z) ** (nu - n) * mpmath.bessely(nu, z), n, 3) / 6
+        for delta in (1e-3, -1e-3):
+            if abs(n + delta) > 10.0:
+                continue
+            value, estimate, _ = _neumann_jet(n, delta, z)
+            with mpmath.workdps(40):
+                assert abs(delta**3 * c3) * z**-delta <= estimate, (z, delta)
+                assert abs(mpmath.mpf(value) - mpmath.bessely(n + delta, z)) <= estimate, (z, delta)
+
+
+def _neumann_log_series(n, z):
+    """(value, estimate) of N_n(z), integer 0 <= n <= 10, by the logarithmic
+    expansion DLMF 10.8.1 in a loop of its own: the engine that summed integer
+    orders before the order jet, kept as an oracle independent of it.  psi(m) =
+    -gamma + H_(m-1) comes from its own running sum and J_n from its own terms;
+    the estimate is 8 eps of every addend, J_n's times |(2/pi) log(z/2)|."""
+    half = 0.5 * z
+    psi = list(accumulate((1.0 / m for m in range(1, n + 60)), initial=-EULER_GAMMA))
+    j_terms = [(-half * half) ** k * half**n / (math.factorial(k) * math.factorial(n + k)) for k in range(60)]
+    log_factor = (2.0 / math.pi) * math.log(half)
+    addends = [log_factor * math.fsum(j_terms)]
+    addends += [-(math.factorial(n - k - 1) / math.factorial(k)) * half ** (2 * k - n) / math.pi for k in range(n)]
+    addends += [-t * (psi[k] + psi[n + k]) / math.pi for k, t in enumerate(j_terms)]
+    rounding = sum(map(abs, addends)) + abs(log_factor) * sum(map(abs, j_terms))
+    return math.fsum(addends), 8.0 * 2.0**-52 * rounding
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_n_integer_order_matches_the_logarithmic_series(n):
+    """At both signs of n and 40 geometric z in [0.01, 20], the order jet and
+    DLMF 10.8.1 agree within the sum of their estimates."""
+    for z in _INTEGER_GRID_Z:
+        want, want_err = _neumann_log_series(n, z)
+        for m, sign in {n: 1.0, -n: (-1.0) ** n}.items():
+            r = neumann(float(m), z)
+            assert abs(r.value.real - sign * want) <= r.err_estimate + want_err, (m, z)
+
+
+@pytest.mark.parametrize(
+    "fn, args, text",
+    [
+        (neumann, (2.0, 1e-300), "N_nu(z) at nu = 2.0, z = 1e-300"),
+        (neumann, (3.000000005, 1e-300), "N_nu(z) at nu = 3.000000005, z = 1e-300"),
+        (neumann, (-9.5, 1e-300), "N_nu(z) at nu = -9.5, z = 1e-300"),
+        (neumann, (-9.5, 2e-32), "N_nu(z) at nu = -9.5, z = 2e-32"),
+        (hankel, (1, 2.0, 1e-300), "N_nu(z) at nu = 2.0, z = 1e-300"),
+        (bessel_j, (-9.5, 1e-300), "J_nu(z) at nu = -9.5, z = 1e-300"),
+        (bessel_j, (-9.5, 2e-32), "J_nu(z) at nu = -9.5, z = 2e-32"),
+    ],
+)
+def test_overflow_at_tiny_z_names_the_function_order_and_argument(fn, args, text):
+    """A value that leaves the float range raises OverflowError, which names
+    the function, nu and z; at z = 2e-32 J_-9.5's leading term is finite until
+    it is divided by -9.5 Gamma(-9.5)."""
+    with pytest.raises(OverflowError, match=f"^{re.escape(text)} leaves the float range$"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("nu, z", [(0.0, 1e-300), (1.0, 1e-300), (1e-9, 1e-300), (10.0, 1e-30), (-10.0, 1e-30)])
+def test_n_at_tiny_z_returns_what_the_float_range_holds(nu, z):
+    """u = z^2/2 underflows here, and N_10(1e-30) is -1.18e308: log u comes
+    from log z, and z^-n rides in the rows, so the value stays within its
+    estimate of mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    r = neumann(nu, z)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(r.value.real) - mpmath.bessely(nu, z)) <= r.err_estimate
 
 
 def test_n_order_guard_stays_on_public_entry_points():
@@ -725,7 +841,7 @@ def test_neumann_series_matches_dlmf_10_8_1(n):
 
 def test_series_builders_check_c_k_before_reading_psi():
     """At K = 1000 the prefactor leaves the float range before any psi past the
-    table's 610 entries is read: the c_k error, naming k = 1000, not an IndexError."""
+    table's 171 entries is read: the c_k error, naming k = 1000, not an IndexError."""
     for build in (reduced_j_series, neumann_t_series):
         with pytest.raises(ValueError, match="n = 0, k = 1000: k!"):
             build(0, 1000)
