@@ -54,6 +54,7 @@ from .logseries import LogPowerSeries, derivative_block
 from .sigmaop import exp_sigma_partial_sums, lambda_coefficients
 from .sonine import _symmetric_partials, _tail_fit
 from .specfun import (
+    FAMILIES,
     _EPS,
     _NEAR_INTEGER,
     _order_jet,
@@ -139,19 +140,29 @@ def _reflect(table, lo: int, hi: int, pos_slope: float, neg_slope: float):
     moves by slope * m, with one slope for p >= 0 and one for p < 0.
     """
     signs, logs = table
+    m, neg, flip = _reflection_indices(lo, hi)
+    return signs[m] * flip, logs[m] + np.where(neg, neg_slope, pos_slope) * m
+
+
+@lru_cache(maxsize=8)
+def _reflection_indices(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m = |p|, p < 0, the sign flip of an odd m at p < 0) for p = lo..hi, read-only."""
     p = np.arange(lo, hi + 1)
     m = np.abs(p)
     neg = p < 0
-    flip = np.where(neg & (m % 2 == 1), -1.0, 1.0)
-    return signs[m] * flip, logs[m] + np.where(neg, neg_slope, pos_slope) * m
+    out = (m, neg, np.where(neg & (m % 2 == 1), -1.0, 1.0))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _combine(a, b) -> np.ndarray:
     """Elementwise products of (signs, logs) factors.  exp is taken by libm per
-    element: np.exp differs from it by an ulp at some arguments."""
-    lg = (a[1] + b[1]).tolist()
-    mags = np.array([math.inf if x > 700.0 else math.exp(x) for x in lg])
-    return a[0] * b[0] * mags
+    element (np.exp differs from it by an ulp at some arguments); a log above
+    700 reads inf."""
+    lg = a[1] + b[1]
+    lg[lg > 700.0] = math.inf
+    return a[0] * b[0] * np.fromiter(map(math.exp, lg.tolist()), float, len(lg))
 
 
 @lru_cache(maxsize=2)
@@ -175,16 +186,20 @@ def _bilinear_sums(z: float, t: float, N: int):
 
 
 def _bilinear_prelude(z: float, t: float, N: int) -> tuple[float, str]:
-    """Check what only a bilinear check guards (``log_reduced_j`` guards z >= 0);
-    return its target and notes."""
+    """Check what only a bilinear check guards (``log_reduced_j`` guards z >= 0,
+    and a NaN passes on to it or to t's guard); return its target and notes."""
     if N < 10:
         raise ValueError("N must be >= 10")
-    if z == t:
-        raise ValueError("singular input: z == t")
+    d = t * t - z * z
+    target = (2.0 / math.pi) / d if d else math.inf
+    if math.isinf(target):
+        raise ValueError(
+            f"singular input: t^2 - z^2 = {d} at z = {z}, t = {t}; the target (2/pi)/(t^2 - z^2) is not finite"
+        )
     notes = ""
     if z > t:
         notes = "outside the validated convergence region 0 <= z < t; reported, not asserted"
-    return (2.0 / math.pi) / (t * t - z * z), notes
+    return target, notes
 
 
 def check_eq11(z: float = 0.5, t: float = 2.0, N: int = 200) -> IdentityReport:
@@ -235,10 +250,43 @@ def check_eq9_real(z: float = 0.5, t: float = 2.0, N: int = 200) -> IdentityRepo
 _DEFAULT_PROBES = (0.5, 1.0, 2.0)
 
 
-def _lambda_entry(series: LogPowerSeries, M: int, j: int):
+# Mapped ladders kept, one per (family, n, K, M, J, partial_sums).  A pass of
+# the identity battery reads 11, and 15 when its operator checks take n = 0, 1, 2.
+LADDER_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=LADDER_CACHE_SIZE)
+def _mapped_ladder(family: str, n: int, K: int, M: int, J: int, partial_sums: bool) -> tuple[LogPowerSeries, ...]:
+    """The truncated map on the family's integer-order series at order n, rows up
+    to u^K, with window M, built once per process: the lam^j entries for
+    j = 0..J (``lambda_coefficients``), or with ``partial_sums`` the partial
+    sums of exp(Sigma) at the orders 0..J up to the first whose coefficients
+    are not finite or whose building raises.  Nothing a call evaluates is kept.
+    An exception, such as ``ReliableOrderExhausted``, is raised again on every
+    call: lru_cache keeps none."""
+    base = FAMILIES[family](n, K)
+    if not partial_sums:
+        return tuple(lambda_coefficients(base, M, J))
+    ladder = exp_sigma_partial_sums(base, M, J, 1.0)
+    prefix = []
+    # the ladder is taken lazily in this loop; its overflows end the prefix,
+    # so numpy need not warn of them
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for partial in ladder:
+                if not np.isfinite(partial.coef).all():
+                    break
+                prefix.append(partial)
+        except (ValueError, OverflowError):
+            pass
+    return tuple(prefix)
+
+
+def _lambda_entry(family: str, n: int, K: int, M: int, j: int) -> LogPowerSeries:
+    """The lam^j entry of the mapped integer-order series of ``family`` at n."""
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
-    return lambda_coefficients(series, M, j)[j]
+    return _mapped_ladder(family, n, K, M, j, False)[j]
 
 
 def _probe_report(identity_id: str, params: dict, base: LogPowerSeries, family: str, probes, tol: float):
@@ -252,7 +300,7 @@ def _probe_report(identity_id: str, params: dict, base: LogPowerSeries, family: 
     _nonempty(probes=probes)
     if any(not 0.0 < x <= 4.0 for x in probes):
         raise ValueError("probes must lie in (0, 4]")
-    entry = _lambda_entry(base, params["M"], j)
+    entry = _lambda_entry(family, n, params["K"], params["M"], j)
     # each series and target column is summed once, at all the probes
     x = np.array(probes, dtype=float)
     u = 0.5 * x * x
@@ -281,7 +329,7 @@ def check_eq3prime_order(n: int = 0, j: int = 1, K: int = 16, M: int = 12) -> Id
     params = {"n": n, "j": j, "K": K, "M": M}
     if j == 2:
         return _probe_report("EQ3P_ORDER_J", params, base, "reducedJ", _DEFAULT_PROBES, 1e-5)
-    entry = _lambda_entry(base, M, j)
+    entry = _lambda_entry("reducedJ", n, K, M, j)
     order = entry.K_trunc
     target = _order_jet("reducedJ", n, K, 1)[1]
     distances = [abs(entry.coefficient(k, 0) - target.coefficient(k, 0)) for k in range(order + 1)]
@@ -319,7 +367,7 @@ def check_integer_shift(
     at most half of the first), not a convergence assertion."""
     if not 0.0 < t <= 2.0:
         raise ValueError("t must lie in (0, 2]")
-    base = neumann_t_series(n, K)
+    neumann_t_series(n, K)  # the base series' guards come before the target's
     target = t ** (n + 1) * neumann(float(n + 1), t).value.real
     u = 0.5 * t * t
     _nonempty(J_max_list=J_max_list)
@@ -327,20 +375,13 @@ def check_integer_shift(
     if min(wanted) < 0:
         raise ValueError("exp_order must be >= 0")
     # one ladder up to the largest order; the map at order J is its J-th prefix
-    partials = exp_sigma_partial_sums(base, M, max(wanted), 1.0)
-    # order -> (residual, K_trunc of the partial sum compared)
-    compared: dict[int, tuple[float, int]] = {}
-    # the ladder is taken lazily in this loop; its overflows are handled
-    # here and reported as inf, so numpy need not warn of them
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for order, partial in enumerate(partials):
-                if not np.isfinite(partial.coef).all():
-                    break  # an overflowed coefficient: this order and every higher one report inf
-                if order in wanted:
-                    compared[order] = (abs(partial.evaluate(u) - target), partial.K_trunc)
-        except (ValueError, OverflowError):
-            pass  # this order and every higher one report inf
+    compared: dict[int, tuple[float, int]] = {}  # order -> (residual, K_trunc of the partial sum compared)
+    try:
+        for order, partial in enumerate(_mapped_ladder("N", n, K, M, max(wanted), True)):
+            if order in wanted:
+                compared[order] = (abs(partial.evaluate(u) - target), partial.K_trunc)
+    except (ValueError, OverflowError):
+        pass  # this order and every higher one report inf, as do those past the prefix
     results = [compared.get(int(jm), (math.inf, None)) for jm in J_max_list]
     residuals = [r for r, _ in results]
     tol = residuals[0] / 2.0 if residuals[0] > 0 else 0.0

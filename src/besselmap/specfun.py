@@ -196,12 +196,15 @@ def neumann(nu: float, z: float) -> EvalResult:
 
 
 @lru_cache(maxsize=None)
-def _neumann_jet_rows(n: int) -> list:
-    """rows[k - min(n, 0)][p][j], k up to 64: the coefficient of lam^p u^k
-    (log u)^j, p <= 2 and j < 4, in t^(n+lam) N_(n+lam)(t), from N's order jet
-    at n, as Python floats.  ``neumann`` guards the order first, so this holds
-    at most 21 entries."""
-    return np.stack([c._aligned(min(n, 0), 64, 4).real for c in _order_jet("N", n, 64, 2)], axis=1).tolist()
+def _neumann_jet_rows(n: int) -> tuple:
+    """One flat tuple (a0, a1, b0, b1, b2, c0, c1, c2, c3) per row u^k, k =
+    min(n, 0)..64, of t^(n+lam) N_(n+lam)(t) from N's order jet at n, as Python
+    floats: a, b and c are the lam^0, lam^1 and lam^2 coefficients, indexed by
+    their power j of log u.  The lam^p column has no log power above p + 1, so
+    no slot is left out that could be non-zero.  ``neumann`` guards the order
+    first, so this holds at most 21 entries."""
+    cols = [c._aligned(min(n, 0), 64, p + 2).real for p, c in enumerate(_order_jet("N", n, 64, 2))]
+    return tuple(map(tuple, np.hstack(cols).tolist()))
 
 
 def _neumann_jet(n: int, delta: float, z: float) -> tuple[float, float, int]:
@@ -230,7 +233,7 @@ def _neumann_jet(n: int, delta: float, z: float) -> tuple[float, float, int]:
     u = 0.5 * z * z
     w = z**-n if n >= 0 else (0.5 * z) ** n  # u^min(n, 0) z^-n
     s0 = s1 = s2 = s3 = mag = 0.0
-    for i, ((a0, a1, _, _), (b0, b1, b2, _), (c0, c1, c2, c3)) in enumerate(_neumann_jet_rows(n)):
+    for i, (a0, a1, b0, b1, b2, c0, c1, c2, c3) in enumerate(_neumann_jet_rows(n)):
         t0 = (a0 + delta * (b0 + delta * c0)) * w
         t1 = (a1 + delta * (b1 + delta * c1)) * w
         t2 = delta * (b2 + delta * c2) * w
@@ -269,6 +272,7 @@ def hankel(kind: int, nu: float, z: float) -> EvalResult:
 _NODE_BUDGET = 2**14
 _HALFLINE_WINDOW = 12.0  # |w| range of the trapezoid
 _HALFLINE_REL_TARGET = 1e-12  # node doubling stops at this relative change
+_LOG_MAX = math.log(np.finfo(float).max)  # k_bessel's overflow test
 
 
 def _halfline_quadrature(g, lanes: int) -> list:
@@ -350,7 +354,10 @@ def _halfline_quadrature(g, lanes: int) -> list:
 
 def k_bessel(nu: float, t: float) -> EvalResult:
     """K_nu(t) from (1/2)(t/2)^nu * integral of exp(-s - t^2/(4s)) s^(-nu-1) ds,
-    a one-lane run of the half-line trapezoid."""
+    a one-lane run of the half-line trapezoid.  Where the value leaves the float
+    range it raises OverflowError; that is read off (1/2) Gamma(|nu|) (2/t)^|nu|,
+    the value's leading term at small t, once the quadrature or its prefactor
+    has failed."""
     nu = float(nu)
     t = float(t)
     if t <= 0:
@@ -367,11 +374,17 @@ def k_bessel(nu: float, t: float) -> EvalResult:
         return [total]
 
     (r,) = _halfline_quadrature(g, 1)
-    if isinstance(r, Exception):
-        raise r
-    val, err, nodes = r
-    pref = 0.5 * (0.5 * t) ** nu
-    return EvalResult(pref * val, pref * err, nodes)
+    try:
+        if isinstance(r, Exception):
+            raise r
+        val, err, nodes = r
+        pref = 0.5 * (0.5 * t) ** nu
+        if max(abs(pref * val), pref * err) < math.inf:
+            return EvalResult(pref * val, pref * err, nodes)
+    except ArithmeticError:
+        if nu == 0.0 or math.lgamma(abs(nu)) + abs(nu) * math.log(2.0 / t) - math.log(2.0) < _LOG_MAX:
+            raise
+    raise OverflowError(f"K_nu(t) at nu = {nu}, t = {t} leaves the float range")
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +541,10 @@ def lambda_taylor_target(family: str, n: int, j: int, probe: float | np.ndarray)
 # ---------------------------------------------------------------------------
 
 
+# Rows k in log_reduced_j's first block of lanes; each later block doubles.
+_FIRST_BLOCK = 8
+
+
 def log_reduced_j(nmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     """(signs, logs) of J_m(z)/z^m for m = 0..nmax, finite z >= 0, stable to m ~ hundreds.
 
@@ -535,7 +552,12 @@ def log_reduced_j(nmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     bracket.  All m are summed together, one lane each, until every lane's
     convergence test holds; past its own stop a lane's terms stay below 1e-18
     of its sum, under half an ulp, so its value does not depend on nmax.
-    z = 0 takes the same path (S_m = 1).  A zero bracket reads (1.0, -inf).
+    The lanes are summed a block of rows k at a time: the terms and the
+    partial sums are running products and running sums down the k axis, each
+    taken in order, so every lane has the bits of a loop over k; the stop is
+    the first row where every lane's test holds.  z = 0 takes the same path
+    (S_m = 1).  A zero bracket reads (1.0, -inf).  A z whose sums leave the
+    float range, z^2/2 among them, raises ValueError.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
@@ -543,47 +565,82 @@ def log_reduced_j(nmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("z must be >= 0 and finite")
     u = 0.5 * z * z
     order = np.arange(nmax + 1, dtype=float)
-    s = np.ones(nmax + 1)
-    term = np.ones(nmax + 1)
-    for k in range(1, _SERIES_LIMIT):
-        term *= -(0.5 * u) / (k * (order + k))
-        s += term
-        # a test that is not true (NaN included) goes on, as a scalar loop would
-        if (np.abs(term) < 1e-18 * np.abs(s) + 1e-300).all():
-            break
-    logs = [c + math.log(abs(v)) if v else -math.inf for c, v in zip(_log_reduced_prefactors(nmax), s.tolist())]
-    return np.where(s < 0, -1.0, 1.0), np.array(logs)
+    term = s = np.ones(nmax + 1)  # the row before the block
+    k0, rows = 1, _FIRST_BLOCK
+    with np.errstate(all="ignore"):  # a sum that leaves the float range raises below
+        while u < math.inf:
+            k = np.arange(k0, min(k0 + rows, _SERIES_LIMIT))[:, None]
+            terms = -(0.5 * u) / (k * (order + k))
+            terms[0] *= term
+            np.multiply.accumulate(terms, out=terms)
+            sums = terms.copy()
+            sums[0] += s
+            np.add.accumulate(sums, out=sums)
+            # a test that is not true (NaN included) goes on, as a scalar loop would
+            done = (np.abs(terms) < 1e-18 * np.abs(sums) + 1e-300).all(axis=1)
+            stop = int(done.argmax()) if done.any() else len(k) - 1
+            term, s = terms[stop], sums[stop]
+            k0, rows = k0 + len(k), 2 * rows
+            if done.any() or k0 == _SERIES_LIMIT:
+                break
+    if not (u < math.inf and np.isfinite(s).all()):
+        raise ValueError(f"z = {z}: the series of J_m(z)/z^m leaves the float range")
+    return np.where(s < 0, -1.0, 1.0), _logs_of(s) + _log_reduced_prefactors(nmax)
+
+
+def _logs_of(values: np.ndarray) -> np.ndarray:
+    """log|v| of each element by libm's log (np.log differs from it by an ulp at
+    some arguments); a zero reads -inf."""
+    zero = values == 0.0
+    logs = np.fromiter(map(math.log, np.where(zero, 1.0, np.abs(values)).tolist()), float, len(values))
+    logs[zero] = -math.inf
+    return logs
 
 
 @lru_cache(maxsize=8)
-def _log_reduced_prefactors(nmax: int) -> tuple[float, ...]:
+def _log_reduced_prefactors(nmax: int) -> np.ndarray:
     """log(2^(-m) / m!) = -m log 2 - lgamma(m + 1) for m = 0..nmax, the left part
-    of ``log_reduced_j``'s sum, so adding log|S_m| keeps its bits."""
+    of ``log_reduced_j``'s sum, so adding log|S_m| keeps its bits; read-only."""
     ln2 = math.log(2.0)
-    return tuple(-m * ln2 - math.lgamma(m + 1.0) for m in range(nmax + 1))
+    out = np.array([-m * ln2 - math.lgamma(m + 1.0) for m in range(nmax + 1)])
+    out.flags.writeable = False
+    return out
+
+
+# neumann_scaled_table's recurrence scales its pair of values by 2^-500 once
+# the newer passes 2^500, so the values stay normal numbers.
+_RESCALE = 500
+_BIG = 2.0**_RESCALE
 
 
 def neumann_scaled_table(t: float, pmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """(signs, logs) of t^p N_p(t) for p = 0..pmax by the scaled upward recurrence
+    """(signs, logs) of t^p N_p(t) for p = 0..pmax by the upward recurrence
     G_{p+1} = 2p G_p - t^2 G_{p-1}, which is forward-stable for the N family.
-    A zero value reads (1.0, -inf)."""
+    A zero value reads (1.0, -inf).
+
+    The recurrence runs on plain floats, scaled by 2^-500 whenever |G_p| passes
+    2^500, and the exponents are taken by one ``np.frexp`` at the end.  Scaling
+    by a power of two commutes with IEEE rounding while the numbers stay
+    normal, so every G_p has the bits of a recurrence that splits each value
+    into mantissa and exponent at every step."""
     if not t > 0:
         raise ValueError("t must be positive")
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
     # the public neumann seeds the table: its guard is the only one on EQ9/EQ11's t
-    g0 = neumann(0.0, t).value.real
-    g1 = t * neumann(1.0, t).value.real
-    mants = [0.0, 0.0]
-    exps = [0, 0]
-    mants[0], exps[0] = math.frexp(g0)
-    mants[1], exps[1] = math.frexp(g1)
-    for p in range(1, pmax):
-        v = 2.0 * p * mants[p] * 2.0 ** (exps[p] - exps[p - 1]) - t * t * mants[p - 1]
-        m, e = math.frexp(v)
-        mants.append(m)
-        exps.append(e + exps[p - 1])
-    logs = [
-        math.log(abs(m)) + e * math.log(2.0) if m else -math.inf for m, e in zip(mants, exps)
-    ]
-    return np.where(np.array(mants) < 0, -1.0, 1.0), np.array(logs)
+    a = neumann(0.0, t).value.real
+    b = t * neumann(1.0, t).value.real
+    tt = t * t
+    values = [a, b]
+    rescaled = []  # each p from which G_p is kept scaled by a further 2^-500
+    for p2 in range(2, 2 * pmax, 2):  # p2 = 2p, p = 1..pmax-1; 2p * G_p rounds as 2.0 * p * G_p
+        a, b = b, p2 * b - tt * a
+        if b > _BIG or b < -_BIG:
+            a *= 1.0 / _BIG
+            b *= 1.0 / _BIG
+            rescaled.append(len(values))
+        values.append(b)
+    mants, exps = np.frexp(values)
+    for p in rescaled:
+        exps[p:] += _RESCALE
+    return np.where(mants < 0, -1.0, 1.0), _logs_of(mants) + exps * math.log(2.0)

@@ -348,6 +348,27 @@ def test_check_infinite_z_is_an_error_not_nan_json(run_cli):
     assert r.stderr == "error: z must be >= 0 and finite\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("identity_id", ["EQ11_SUM", "EQ9_REAL"])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # z^2/2 overflows: the bracket once summed to NaN with a numpy warning
+        (["--z", "1e300", "--t", "2"], "z = 1e+300: the series of J_m(z)/z^m leaves the float range"),
+        # t^2 underflows to 0: the target was once a bare division by zero
+        (
+            ["--z", "0", "--t", "1e-320"],
+            "singular input: t^2 - z^2 = 0.0 at z = 0.0, t = 1e-320; the target (2/pi)/(t^2 - z^2) is not finite",
+        ),
+    ],
+)
+def test_check_bilinear_outside_the_float_range_is_an_error(run_cli, identity_id, args, message):
+    r = run_cli("--format", "json", "check", "--id", identity_id, *args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "identity_id, args",
     [

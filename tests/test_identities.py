@@ -1,5 +1,6 @@
 """Identity checkers: report contracts, determinism, and the true/measured split."""
 
+import collections
 import json
 import math
 import random
@@ -28,9 +29,9 @@ from besselmap import (
     reduced_j_series,
     run_suite,
 )
-from besselmap import identities
+from besselmap import identities, logseries, sigmaop, sonine, specfun
 from besselmap.identities import _bilinear_sums, _reflect
-from besselmap.logseries import derivative_block
+from besselmap.logseries import LogPowerSeries, derivative_block
 from besselmap.specfun import log_reduced_j, neumann_scaled_table
 
 
@@ -71,16 +72,19 @@ def _pairs(table):
     return list(zip(*(a.tolist() for a in table)))
 
 
-@pytest.mark.parametrize("x", [0.3, 2.0, 7.5])
+@pytest.mark.parametrize("x", [0.0, 0.3, 2.0, 2.404825557695773, 7.5, 20.0])
 def test_signlog_tables_match_scalar_factors(x):
     """The lane-wise table gives the same bits as the per-order scalar bracket,
-    and a longer table gives the same factors as the shortest one."""
-    table = log_reduced_j(40, x)
-    assert _pairs(table) == [_scalar_log_reduced_j(m, x) for m in range(41)]
-    for m in range(41):
+    and a longer table gives the same factors as the shortest one.  x = 0 sums
+    no term, 2.4048... is a zero of J_0, and x = 20 takes several blocks of rows."""
+    table = log_reduced_j(201, x)
+    assert _pairs(table) == [_scalar_log_reduced_j(m, x) for m in range(202)]
+    for m in range(202):
         shortest = log_reduced_j(m, x)
         assert _pairs(shortest) == _pairs(table)[: m + 1]
-        for slopes in ((0.0, 2.0 * math.log(x)), (2.0 * math.log(x), 0.0)):
+        # at x = 0 only the bilinear sums' z side: slope -inf at p < 0
+        slopes_list = ((0.0, 2.0 * math.log(x)), (2.0 * math.log(x), 0.0)) if x else ((0.0, -math.inf),)
+        for slopes in slopes_list:
             assert _pairs(_reflect(table, -m, m, *slopes)) == _pairs(
                 _reflect(shortest, -m, m, *slopes)
             )
@@ -577,6 +581,63 @@ def test_suite_is_deterministic_and_sorted():
     assert a == b
     keys = [(r["identity_id"], json.dumps(r["params"], sort_keys=True)) for r in a]
     assert keys == sorted(keys)
+
+
+def _clear_caches():
+    for module in (identities, logseries, sigmaop, sonine, specfun):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def _suite_bytes() -> bytes:
+    return json.dumps([r.to_record() for r in run_suite()], sort_keys=True, indent=2).encode()
+
+
+def test_suite_bytes_do_not_depend_on_the_caches():
+    _clear_caches()
+    cold = _suite_bytes()
+    assert _suite_bytes() == cold
+
+
+def test_a_steady_suite_pass_builds_no_series(monkeypatch):
+    """The mapped ladders are built once per process: a second pass applies no
+    Sigma and makes no series."""
+    run_suite()
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sigmaop, "apply_sigma", counted("apply_sigma", sigmaop.apply_sigma))
+    for name in ("scale", "add", "_store"):
+        monkeypatch.setattr(LogPowerSeries, name, counted(name, getattr(LogPowerSeries, name)))
+    run_suite()
+    assert calls == {}
+    identities._mapped_ladder.cache_clear()
+    run_suite()  # the ladders are built again, through the counted functions
+    assert calls["apply_sigma"] == 27 and calls["_store"] > 0
+
+
+def test_the_ladder_memo_stays_within_its_maxsize():
+    K = identities.LADDER_CACHE_SIZE + 8
+    for M in range(1, K):
+        check_eq3prime_order(0, 1, K=K, M=M)
+    info = identities._mapped_ladder.cache_info()
+    assert info.maxsize == identities.LADDER_CACHE_SIZE
+    assert info.currsize == info.maxsize
+
+
+def test_an_exhausted_reliable_order_is_raised_on_every_call():
+    before = identities._mapped_ladder.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ReliableOrderExhausted, match="K = 10 cannot support 1 Sigma applications"):
+            check_eq15_order(0, 1, K=10, M=12)
+    assert identities._mapped_ladder.cache_info().currsize == before
 
 
 def test_suite_verdict_split():

@@ -29,6 +29,7 @@ from besselmap.specfun import (
     _PSI,
     _halfline_quadrature,
     _neumann_jet,
+    _neumann_jet_rows,
     _order_jet,
     log_reduced_j,
     neumann_scaled_table,
@@ -417,12 +418,15 @@ def test_n_integer_order_matches_the_logarithmic_series(n):
         (hankel, (1, 2.0, 1e-300), "N_nu(z) at nu = 2.0, z = 1e-300"),
         (bessel_j, (-9.5, 1e-300), "J_nu(z) at nu = -9.5, z = 1e-300"),
         (bessel_j, (-9.5, 2e-32), "J_nu(z) at nu = -9.5, z = 2e-32"),
+        (k_bessel, (-10.0, 1e-40), "K_nu(t) at nu = -10.0, t = 1e-40"),
+        (k_bessel, (10.0, 1e-40), "K_nu(t) at nu = 10.0, t = 1e-40"),
     ],
 )
 def test_overflow_at_tiny_z_names_the_function_order_and_argument(fn, args, text):
     """A value that leaves the float range raises OverflowError, which names
     the function, nu and z; at z = 2e-32 J_-9.5's leading term is finite until
-    it is divided by -9.5 Gamma(-9.5)."""
+    it is divided by -9.5 Gamma(-9.5).  K's prefactor overflows at nu = -10 and
+    its quadrature fails at nu = 10; both name K."""
     with pytest.raises(OverflowError, match=f"^{re.escape(text)} leaves the float range$"):
         fn(*args)
 
@@ -904,6 +908,54 @@ def test_log_reduced_j_large_order_finite():
     # leading term dominates: log(2^-n / n!) with a tiny series correction
     lead = -180 * math.log(2.0) - math.lgamma(181.0)
     assert lg == pytest.approx(lead, abs=0.02)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [1e300, 1e100, 1e3])
+def test_log_reduced_j_raises_where_its_sums_leave_the_float_range(z):
+    """z^2/2 is not finite at 1e300; at 1e100 and 1e3 the bracket's terms
+    overflow.  Each is a ValueError naming z, with no numpy warning."""
+    message = f"z = {z}: the series of J_m(z)/z^m leaves the float range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        log_reduced_j(201, z)
+
+
+def _frexp_recurrence(t, pmax):
+    """Reference: (signs, logs) of t^p N_p(t) by the recurrence with each value
+    split into mantissa and exponent at every step."""
+    mants, exps = zip(math.frexp(neumann(0.0, t).value.real), math.frexp(t * neumann(1.0, t).value.real))
+    mants, exps = list(mants), list(exps)
+    for p in range(1, pmax):
+        v = 2.0 * p * mants[p] * 2.0 ** (exps[p] - exps[p - 1]) - t * t * mants[p - 1]
+        m, e = math.frexp(v)
+        mants.append(m)
+        exps.append(e + exps[p - 1])
+    logs = [math.log(abs(m)) + e * math.log(2.0) if m else -math.inf for m, e in zip(mants, exps)]
+    return [-1.0 if m < 0 else 1.0 for m in mants], logs
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e-5, 0.8936, 2.197, 6.0, 20.0])
+def test_neumann_scaled_table_has_the_bits_of_the_frexp_recurrence(t):
+    """The plain-float recurrence, scaled by powers of two, rounds as the
+    mantissa/exponent one at every step; 0.8936 and 2.197 lie near zeros of
+    N_0 and N_1, and at t = 1e-300 t^2 is 0."""
+    signs, logs = _frexp_recurrence(t, 201)
+    for pmax in range(1, 202):
+        got = neumann_scaled_table(t, pmax)
+        assert got[0].tolist() == signs[: pmax + 1]
+        assert [v.hex() for v in got[1].tolist()] == [v.hex() for v in logs[: pmax + 1]]
+
+
+@pytest.mark.parametrize("n", [-10, -3, 0, 1, 10])
+def test_neumann_jet_rows_are_the_jet_columns_without_their_zero_slots(n):
+    """Each row keeps the lam^p column's log powers j <= p + 1; the slots it
+    drops are zero in the jet."""
+    cols = [c._aligned(min(n, 0), 64, 4).real.tolist() for c in _order_jet("N", n, 64, 2)]
+    rows = _neumann_jet_rows(n)
+    assert len(rows) == 65 - min(n, 0)
+    for row, a, b, c in zip(rows, *cols):
+        assert row == (a[0], a[1], b[0], b[1], b[2], c[0], c[1], c[2], c[3])
+        assert a[2] == a[3] == b[3] == 0.0
 
 
 def test_neumann_scaled_table_matches_scipy():
