@@ -7,9 +7,11 @@ Bessel factor and a weighted Neumann/Bessel factor over n in [-N, N].
 Individual factors overflow/underflow double precision long before the
 products do, so terms are assembled in (sign, log-magnitude) form.  Each
 factor is one (signs, logs) table over orders m >= 0 from
-:mod:`besselmap.specfun`, reflected once onto n = -N..N; the terms, their
-partial sums and the tail fit are arrays, computed once per (z, t, N) for
-both checks.
+:mod:`besselmap.specfun`, each built in whole-array passes with the bits of
+a per-order loop, and reflected once onto n = -N..N through index arrays
+kept per range; the terms, their partial sums and the tail fit are arrays,
+computed once per (z, t, N) for both checks.  libm's exp and log are taken
+per element, since numpy's differ from them by an ulp at some arguments.
 
 Operator-map checks (EQ3P_ORDER_J, EQ15_ORDER_J, EQ18_ORDER_J, EQ17_SHIFT)
 compare the truncated exponential map against real-order targets, order by
@@ -28,6 +30,13 @@ left in each compared series, so the behaviour is auditable rather than
 hidden.  That order is the compared series' own K_trunc: the guard that it
 is not negative lives in ``sigmaop.lambda_coefficients``, and EQ17 reports
 the K_trunc of its partial sums instead of raising.
+
+A mapped ladder depends only on (family, n, K, M, J), so each is built once
+per process, in one bounded cache (``_mapped_ladder``): the lam^j entries the
+probe protocol and EQ3P read, and EQ17's partial sums up to the first whose
+coefficients are not finite.  A later call applies no Sigma and makes no
+series; what it evaluates (the probes, EQ17's t, the targets) stays per
+call, and an error such as ``ReliableOrderExhausted`` is raised on every call.
 
 EQ2_ROUNDTRIP, EQ3_CLOSURE (the J, N Wronskian) and EQ14_KERNEL (the kernel's
 derivatives through the series calculus) are definitional guards that can fail.
@@ -172,15 +181,18 @@ def _bilinear_sums(z: float, t: float, N: int):
     N-weighted terms.  Memoised, so EQ9 and EQ11 at the same (z, t, N) share
     one computation; the values are tuples, so no caller can change them.
 
-    Term n is [J_n(z)/z^n] t^p C_p(t), p = n - 1, with C = N or J.
+    Term n is [J_n(z)/z^n] t^p C_p(t), p = n - 1, with C = N or J.  A term
+    that leaves the float range raises ValueError: its sums would read inf or NaN.
     """
     nt = _reflect(neumann_scaled_table(t, N + 1), -N - 1, N - 1, 0.0, -2.0 * math.log(t))
     jt = _reflect(log_reduced_j(N + 1, t), -N - 1, N - 1, 2.0 * math.log(t), 0.0)
     jz = _reflect(log_reduced_j(N, z), -N, N, 0.0, 2.0 * math.log(z) if z else -math.inf)
-    n_terms = _combine(jz, nt)
+    n_terms, j_terms = _combine(jz, nt), _combine(jz, jt)
+    if not (np.isfinite(n_terms).all() and np.isfinite(j_terms).all()):
+        raise ValueError(f"the bilinear terms at z = {z}, t = {t}, N = {N} leave the float range")
     return (
         tuple(_symmetric_partials(n_terms, N)),
-        tuple(_symmetric_partials(_combine(jz, jt), N)),
+        tuple(_symmetric_partials(j_terms, N)),
         _tail_fit(n_terms, N),
     )
 

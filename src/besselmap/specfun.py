@@ -16,7 +16,9 @@ The evaluators are deliberately series/quadrature based and self-contained:
   level for the lanes still live.
 * ``log_reduced_j`` / ``neumann_scaled_table`` -- (signs, logs) arrays of
   J_m(z)/z^m and t^m N_m(t) for every order m = 0..max, for sums whose
-  factors overflow or underflow double precision.
+  factors overflow or underflow double precision: every order's bracket in
+  blocks of rows, and the upward recurrence on plain floats scaled by powers
+  of two, each with the bits of its per-order, per-step loop.
 
 The intended working range is desk scale: arguments in (0, 20], orders in
 [-10, 10].  No asymptotic large-argument machinery is included.

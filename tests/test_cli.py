@@ -355,6 +355,8 @@ def test_check_infinite_z_is_an_error_not_nan_json(run_cli):
     [
         # z^2/2 overflows: the bracket once summed to NaN with a numpy warning
         (["--z", "1e300", "--t", "2"], "z = 1e+300: the series of J_m(z)/z^m leaves the float range"),
+        # the terms overflow: the sums once read inf and NaN, with a numpy warning
+        (["--z", "100", "--t", "2"], "the bilinear terms at z = 100.0, t = 2.0, N = 200 leave the float range"),
         # t^2 underflows to 0: the target was once a bare division by zero
         (
             ["--z", "0", "--t", "1e-320"],
