@@ -32,11 +32,12 @@ is not negative lives in ``sigmaop.lambda_coefficients``, and EQ17 reports
 the K_trunc of its partial sums instead of raising.
 
 A mapped ladder depends only on (family, n, K, M, J), so each is built once
-per process, in one bounded cache (``_mapped_ladder``): the lam^j entries the
-probe protocol and EQ3P read, and EQ17's partial sums up to the first whose
-coefficients are not finite.  A later call applies no Sigma and makes no
-series; what it evaluates (the probes, EQ17's t, the targets) stays per
-call, and an error such as ``ReliableOrderExhausted`` is raised on every call.
+per process, in one of two bounded caches: ``_lambda_entries`` holds the
+lam^j entries the probe protocol and EQ3P read, and ``_shift_prefix`` EQ17's
+partial sums up to the first whose coefficients are not finite.  A later call
+applies no Sigma and makes no series; what it evaluates (the probes, EQ17's
+t, the targets) stays per call, and an error such as
+``ReliableOrderExhausted`` is raised on every call.
 
 EQ2_ROUNDTRIP, EQ3_CLOSURE (the J, N Wronskian) and EQ14_KERNEL (the kernel's
 derivatives through the series calculus) are definitional guards that can fail.
@@ -149,20 +150,11 @@ def _reflect(table, lo: int, hi: int, pos_slope: float, neg_slope: float):
     moves by slope * m, with one slope for p >= 0 and one for p < 0.
     """
     signs, logs = table
-    m, neg, flip = _reflection_indices(lo, hi)
-    return signs[m] * flip, logs[m] + np.where(neg, neg_slope, pos_slope) * m
-
-
-@lru_cache(maxsize=8)
-def _reflection_indices(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m = |p|, p < 0, the sign flip of an odd m at p < 0) for p = lo..hi, read-only."""
     p = np.arange(lo, hi + 1)
     m = np.abs(p)
     neg = p < 0
-    out = (m, neg, np.where(neg & (m % 2 == 1), -1.0, 1.0))
-    for a in out:
-        a.flags.writeable = False
-    return out
+    flip = np.where(neg & (m % 2 == 1), -1.0, 1.0)
+    return signs[m] * flip, logs[m] + np.where(neg, neg_slope, pos_slope) * m
 
 
 def _combine(a, b) -> np.ndarray:
@@ -262,24 +254,24 @@ def check_eq9_real(z: float = 0.5, t: float = 2.0, N: int = 200) -> IdentityRepo
 _DEFAULT_PROBES = (0.5, 1.0, 2.0)
 
 
-# Mapped ladders kept, one per (family, n, K, M, J, partial_sums).  A pass of
-# the identity battery reads 11, and 15 when its operator checks take n = 0, 1, 2.
-LADDER_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=LADDER_CACHE_SIZE)
-def _mapped_ladder(family: str, n: int, K: int, M: int, J: int, partial_sums: bool) -> tuple[LogPowerSeries, ...]:
-    """The truncated map on the family's integer-order series at order n, rows up
-    to u^K, with window M, built once per process: the lam^j entries for
-    j = 0..J (``lambda_coefficients``), or with ``partial_sums`` the partial
-    sums of exp(Sigma) at the orders 0..J up to the first whose coefficients
-    are not finite or whose building raises.  Nothing a call evaluates is kept.
+# Each memo below keeps 64 ladders: a pass of the identity battery reads 11,
+# and 15 when its operator checks take n = 0, 1, 2.
+@lru_cache(maxsize=64)
+def _lambda_entries(family: str, n: int, K: int, M: int, J: int) -> tuple[LogPowerSeries, ...]:
+    """The lam^j entries, j = 0..J, of the truncated map (rows up to u^K, window
+    M) on the family's integer-order series at order n, built once per process.
     An exception, such as ``ReliableOrderExhausted``, is raised again on every
     call: lru_cache keeps none."""
-    base = FAMILIES[family](n, K)
-    if not partial_sums:
-        return tuple(lambda_coefficients(base, M, J))
-    ladder = exp_sigma_partial_sums(base, M, J, 1.0)
+    return tuple(lambda_coefficients(FAMILIES[family](n, K), M, J))
+
+
+@lru_cache(maxsize=64)
+def _shift_prefix(n: int, K: int, M: int, J: int) -> tuple[LogPowerSeries, ...]:
+    """The partial sums of exp(Sigma) on t^n N_n (rows up to u^K, window M) at
+    the orders 0..J, up to the first whose coefficients are not finite or whose
+    building raises, built once per process.  The arguments are checked before
+    the ladder is taken, and their errors are raised on every call."""
+    ladder = exp_sigma_partial_sums(neumann_t_series(n, K), M, J, 1.0)
     prefix = []
     # the ladder is taken lazily in this loop; its overflows end the prefix,
     # so numpy need not warn of them
@@ -298,7 +290,7 @@ def _lambda_entry(family: str, n: int, K: int, M: int, j: int) -> LogPowerSeries
     """The lam^j entry of the mapped integer-order series of ``family`` at n."""
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
-    return _mapped_ladder(family, n, K, M, j, False)[j]
+    return _lambda_entries(family, n, K, M, j)[j]
 
 
 def _probe_report(identity_id: str, params: dict, base: LogPowerSeries, family: str, probes, tol: float):
@@ -387,13 +379,15 @@ def check_integer_shift(
     if min(wanted) < 0:
         raise ValueError("exp_order must be >= 0")
     # one ladder up to the largest order; the map at order J is its J-th prefix
+    prefix = _shift_prefix(n, K, M, max(wanted))
     compared: dict[int, tuple[float, int]] = {}  # order -> (residual, K_trunc of the partial sum compared)
-    try:
-        for order, partial in enumerate(_mapped_ladder("N", n, K, M, max(wanted), True)):
-            if order in wanted:
-                compared[order] = (abs(partial.evaluate(u) - target), partial.K_trunc)
-    except (ValueError, OverflowError):
-        pass  # this order and every higher one report inf, as do those past the prefix
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for order, partial in enumerate(prefix):
+                if order in wanted:
+                    compared[order] = (abs(partial.evaluate(u) - target), partial.K_trunc)
+        except (ValueError, OverflowError):
+            pass  # this order and every higher one report inf, as do those past the prefix
     results = [compared.get(int(jm), (math.inf, None)) for jm in J_max_list]
     residuals = [r for r, _ in results]
     tol = residuals[0] / 2.0 if residuals[0] > 0 else 0.0

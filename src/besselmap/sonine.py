@@ -273,14 +273,6 @@ def _symmetric_partials(terms: np.ndarray, N: int) -> list[float]:
     return np.cumsum(np.concatenate((terms[N : N + 1], pairs))).tolist()
 
 
-@lru_cache(maxsize=8)
-def _log_k(N: int) -> np.ndarray:
-    """libm's log k for k = max(2, N // 10)..N, the abscissae of ``_tail_fit``; read-only."""
-    out = np.fromiter(map(math.log, range(max(2, N // 10), N + 1)), float)
-    out.flags.writeable = False
-    return out
-
-
 def _tail_fit(terms: np.ndarray, N: int) -> tuple[float, float]:
     """Fit |term_k + term_-k| ~ C / k^alpha over the last decade; return (alpha,
     tail estimate).  ``terms`` is indexed as for :func:`_symmetric_partials`."""
@@ -290,8 +282,9 @@ def _tail_fit(terms: np.ndarray, N: int) -> tuple[float, float]:
     if np.count_nonzero(keep) < 3:
         return float("nan"), float("nan")
     # libm log per element: np.log differs from it by an ulp at some arguments
+    ks = np.fromiter(map(math.log, k[keep].tolist()), float)
     ps = np.fromiter(map(math.log, pk[keep].tolist()), float)
-    slope, intercept = np.polyfit(_log_k(N)[keep], ps, 1)
+    slope, intercept = np.polyfit(ks, ps, 1)
     alpha = -float(slope)
     c = math.exp(float(intercept))
     if alpha > 1.0:

@@ -210,6 +210,13 @@ def test_check_rejects_probes_outside_the_protocol_range(run_cli):
     assert r.stderr == "error: probes must lie in (0, 4]\n"
 
 
+def test_check_rejects_a_shift_window_below_one(run_cli):
+    r = run_cli("--format", "json", "check", "--id", "EQ17_SHIFT", "--M", "0")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: shift_window must be >= 1\n"
+
+
 def test_check_handled_overflow_writes_nothing_to_stderr():
     # EQ17's ladder overflows at J_max = 40; the checker reports inf without numpy warnings
     r = run_cold("--format", "json", "check", "--id", "EQ17_SHIFT", "--jmax-list", "2", "40")

@@ -618,26 +618,42 @@ def test_a_steady_suite_pass_builds_no_series(monkeypatch):
         monkeypatch.setattr(LogPowerSeries, name, counted(name, getattr(LogPowerSeries, name)))
     run_suite()
     assert calls == {}
-    identities._mapped_ladder.cache_clear()
+    identities._lambda_entries.cache_clear()
+    identities._shift_prefix.cache_clear()
     run_suite()  # the ladders are built again, through the counted functions
     assert calls["apply_sigma"] == 27 and calls["_store"] > 0
 
 
-def test_the_ladder_memo_stays_within_its_maxsize():
-    K = identities.LADDER_CACHE_SIZE + 8
+def test_the_ladder_memos_stay_within_their_maxsize():
+    size = identities._lambda_entries.cache_info().maxsize
+    K = size + 8
     for M in range(1, K):
         check_eq3prime_order(0, 1, K=K, M=M)
-    info = identities._mapped_ladder.cache_info()
-    assert info.maxsize == identities.LADDER_CACHE_SIZE
-    assert info.currsize == info.maxsize
+    info = identities._lambda_entries.cache_info()
+    assert info.currsize == info.maxsize == size
+    size = identities._shift_prefix.cache_info().maxsize
+    for M in range(1, size + 8):
+        check_integer_shift(0, K=16, M=M, J_max_list=(1, 2))
+    info = identities._shift_prefix.cache_info()
+    assert info.currsize == info.maxsize == size
 
 
 def test_an_exhausted_reliable_order_is_raised_on_every_call():
-    before = identities._mapped_ladder.cache_info().currsize
+    before = identities._lambda_entries.cache_info().currsize
     for _ in range(3):
         with pytest.raises(ReliableOrderExhausted, match="K = 10 cannot support 1 Sigma applications"):
             check_eq15_order(0, 1, K=10, M=12)
-    assert identities._mapped_ladder.cache_info().currsize == before
+    assert identities._lambda_entries.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("M", [0, -1])
+def test_the_shift_window_guard_is_raised_on_every_call(M):
+    """EQ17's reading of the ladder reports a failing order as inf; the window's
+    guard is raised, not reported, also once the ladders are warm."""
+    check_integer_shift()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="shift_window must be >= 1"):
+            check_integer_shift(M=M)
 
 
 def test_suite_verdict_split():
