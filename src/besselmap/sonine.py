@@ -17,8 +17,10 @@ exp(-t^2 x - Mho(x)/2) once per node.  Both double nested, sampling only
 each level's new odd nodes.  On the circle the trapezoid mean of
 b_j tau_j^(-n) is r^(-n) B[n mod nodes]/nodes, B the discrete Fourier
 transform of the samples b_j, so one FFT per node count gives every Z lane.
-The half-line integrand sums a whole level for the lanes still live, so an
-A lane takes its power Mho(x)^n only while it is live.  A lane keeps its own
+The half-line integrand sums a whole level for the lanes still live in one
+array pass: Mho on the level's nodes, one np.power over a lanes x nodes
+matrix and one in-order running sum along the node axis, so an A lane takes
+its powers Mho(x)^n only while it is live.  A lane keeps its own
 stopping, divergence, budget and overflow rules, and ``z_function`` and
 ``a_function`` are the one-lane cases, so each term has the bits of its
 single call.
@@ -55,14 +57,15 @@ class GeneratingPair:
     """An (Omega, Mho) pair with its contour radius.
 
     ``omega`` receives the numpy array of all contour nodes at once and
-    must act elementwise; the inverse check below also calls it on floats.
+    ``inverse`` the numpy array of one half-line level's nodes; both must act
+    elementwise.  The inverse check below also calls them on floats.
     Construction samples x in (0, 10] and requires Omega(Mho(x)) = x to
     1e-12; a pair that fails the inverse check is rejected.
     """
 
     name: str
     omega: Callable[[np.ndarray], np.ndarray]
-    inverse: Callable[[float], float]
+    inverse: Callable[[np.ndarray], np.ndarray]
     contour_radius: float = 1.0
 
     def __post_init__(self) -> None:
@@ -209,14 +212,15 @@ def _real_if_close(v: complex) -> complex:
 
 def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
     """A_n(t) by half-line quadrature under the decaying-exponent convention,
-    the one-lane case of the A lanes.
+    the one-lane case of the A lanes, for a finite real n and 0 < t <= 20.
 
+    An order or argument outside that domain, NaN included, raises ValueError.
     Divergence (growth under node doubling), and a power Mho(x)^n that leaves
     the float range at some node, raise ArithmeticError instead of returning
     a number.
     """
-    if math.isnan(n):
-        raise ValueError("A_n needs a real order n; got n = nan")
+    if not math.isfinite(n):
+        raise ValueError(f"A_n needs a finite real order n; got n = {n}")
     (r,) = _a_lanes(pair, [n], t)
     if isinstance(r, Exception):
         raise r
@@ -226,36 +230,35 @@ def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
 def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
     """A_n(t) for every n in ns from one half-line trapezoid, one lane per n.
 
-    Each level's nodes are sampled once, as (Mho(x), exp(-t^2 x - Mho(x)/2), x),
-    a node whose exponent is below -700 adding nothing; then each live lane
-    sums Mho(x)^n * exp(...) * x over them, the trailing x being the e^w
-    jacobian.  A lane whose power leaves the float range reads inf.  The
-    result holds each lane's EvalResult, or the exception ``a_function``
-    raises for that n.
+    Each level's nodes are sampled once, as one array: Mho(x) by the pair's
+    elementwise inverse, the exponent -t^2 x - Mho(x)/2, and libm's exp at
+    each node whose exponent is not below -700 (the others add nothing).
+    Then one np.power gives Mho(x)^n for every live lane at every kept node,
+    and each lane's term Mho(x)^n * exp(...) * x, the trailing x being the
+    e^w jacobian, is summed in node order by one np.add.accumulate from 0.0,
+    so a lane's sum has the bits of a scalar loop over its terms.  A lane
+    whose power or sum leaves the float range reads inf.  The result holds
+    each lane's EvalResult, or the exception ``a_function`` raises for that n.
     """
     if not t > 0:
         return [ValueError("t must be positive")] * len(ns)
+    if not t <= _MAX_ARG:
+        return [ValueError(f"t = {t} outside the supported range (0, {_MAX_ARG}]")] * len(ns)
     t2 = t * t
-    mho = pair.inverse
+    orders = np.array(ns, dtype=float)
 
     def g(xs: list, live: list) -> list:
-        samples = []
-        for x in xs:
-            m = mho(x)
-            expo = -t2 * x - 0.5 * m
-            if not expo < -700.0:  # a NaN exponent is kept, so that its lane shows it
-                samples.append((m, math.exp(expo), x))
-        sums = []
-        for i in live:
-            total = 0.0
-            try:
-                n = float(ns[i])  # m**n converts an int n to this same float
-                for m, e, x in samples:
-                    total += m**n * e * x
-            except OverflowError:
-                total = math.inf
-            sums.append(total)
-        return sums
+        x = np.array(xs)
+        m = pair.inverse(x)
+        expo = -t2 * x - 0.5 * m
+        keep = ~(expo < -700.0)  # a NaN exponent is kept, so that its lane shows it
+        x, m = x[keep], m[keep]
+        e = np.fromiter(map(math.exp, expo[keep].tolist()), float, len(x))
+        # column 0 stays 0.0, so each running sum starts where a scalar loop does
+        terms = np.zeros((len(live), len(x) + 1))
+        with np.errstate(over="ignore"):  # an inf power or term makes its lane read inf
+            terms[:, 1:] = np.power(m, orders[live, None]) * e * x
+            return np.add.accumulate(terms, axis=1)[:, -1].tolist()
 
     out = []
     for n, r in zip(ns, _halfline_quadrature(g, len(ns))):
@@ -295,7 +298,8 @@ def _tail_fit(terms: np.ndarray, N: int) -> tuple[float, float]:
 
 
 def bilinear_check(pair: GeneratingPair, z: float, t: float, N: int) -> dict:
-    """Partial sums S_N = sum_{n=-N..N} Z_n(z) A_n(t) with tail diagnostics.
+    """Partial sums S_N = sum_{n=-N..N} Z_n(z) A_n(t) with tail diagnostics,
+    for an int N >= 1.
 
     Returns a plain record with the symmetric partial sums, the empirical
     limit 1/(t^2+z^2) of the decaying convention, the formal target
@@ -312,8 +316,8 @@ def bilinear_check(pair: GeneratingPair, z: float, t: float, N: int) -> dict:
     by A_n; the record carries that floor as ``noise_estimate`` and the
     partial sums are meaningful only while they stand above it.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+        raise ValueError(f"N must be an int >= 1; got N = {N!r}")
     if z == t:
         raise ValueError("singular input: z == t")
     ns = list(range(-N, N + 1))

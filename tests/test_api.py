@@ -109,6 +109,38 @@ def test_nan_input_raises_the_domain_error(case):
         call()
 
 
+_T_RANGE = r"outside the supported range \(0, 20\.0\]$"
+
+# (call, the domain error it raises) for the pair functions' finite guards
+_PAIR_DOMAIN_CALLS = {
+    "a_function-inf-t": (lambda: a_function(bessel_pair(), 3, math.inf), r"^t = inf " + _T_RANGE),
+    "a_function-t-25": (lambda: a_function(bessel_pair(), 3, 25.0), r"^t = 25\.0 " + _T_RANGE),
+    "a_function-inf-order": (
+        lambda: a_function(bessel_pair(), math.inf, 2.0),
+        r"^A_n needs a finite real order n; got n = inf$",
+    ),
+    "a_function-minus-inf-order": (lambda: a_function(bessel_pair(), -math.inf, 2.0), r"got n = -inf$"),
+    "bilinear_check-inf-t": (lambda: bilinear_check(bessel_pair(), 0.5, math.inf, 10), r"^t = inf " + _T_RANGE),
+    "bilinear_check-t-25": (lambda: bilinear_check(bessel_pair(), 0.5, 25.0, 10), r"^t = 25\.0 " + _T_RANGE),
+    "bilinear_check-bool-N": (
+        lambda: bilinear_check(bessel_pair(), 0.5, 2.0, True),
+        r"^N must be an int >= 1; got N = True$",
+    ),
+    "bilinear_check-float-N": (
+        lambda: bilinear_check(bessel_pair(), 0.5, 2.0, 10.0),
+        r"^N must be an int >= 1; got N = 10\.0$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _PAIR_DOMAIN_CALLS)
+def test_pair_functions_reject_input_outside_their_domain(case):
+    # t as k_bessel takes it, 0 < t <= 20; a finite order; an int N
+    call, message = _PAIR_DOMAIN_CALLS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_log_reduced_j_rejects_an_infinite_z():
     # an infinite z would sum to NaN terms; the guard's message keeps its "z must be >= 0" prefix
     with pytest.raises(ValueError, match="^z must be >= 0 and finite$"):

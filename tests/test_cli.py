@@ -276,6 +276,11 @@ def test_csv_format_takes_only_reports(run_cli, args):
         (("eval", "--fn", "Z", "--order", "nan", "--arg", "1"), "takes an integer order; got nan"),
         (("eval", "--fn", "A", "--order", "nan", "--arg", "1"), "takes an integer order; got nan"),
         (("eval", "--fn", "A", "--order", "1", "--arg", "nan"), "t must be positive"),
+        # A once printed "arg": Infinity, which is not JSON, with the value 0
+        (("eval", "--fn", "A", "--order", "3", "--arg", "inf"), "t = inf outside the supported range (0, 20.0]"),
+        (("eval", "--fn", "A", "--order", "3", "--arg", "25"), "t = 25.0 outside the supported range (0, 20.0]"),
+        (("eval", "--fn", "A", "--order", "inf", "--arg", "2"), "takes an integer order; got inf"),
+        (("eval", "--fn", "A", "--order=-inf", "--arg", "2"), "takes an integer order; got -inf"),
         (("eval", "--fn", "Z", "--order", "1", "--arg", "50"), "|z| = 50.0 outside the supported range"),
     ],
 )

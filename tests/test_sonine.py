@@ -13,6 +13,7 @@ from besselmap.sonine import (
     _contour_samples,
     _contour_sums,
     _symmetric_partials,
+    _a_lanes,
     _tail_fit,
     _z_lanes,
 )
@@ -272,6 +273,95 @@ def test_bilinear_lanes_equal_single_calls(z, t, N):
     assert rec["noise_estimate"] == noise
     assert rec["effort"] == effort
     assert rec["tail_exponent"] == _tail_fit(terms, N)[0]
+
+
+def _single_a_call(pair, n, t):
+    try:
+        return a_function(pair, n, t)
+    except ArithmeticError as exc:
+        return exc
+
+
+@pytest.mark.parametrize(
+    "ns, t",
+    [
+        ([0.5, 1.5, 3], 2.0),  # real orders among integer ones
+        ([-7.5, -4, -1.5, 0], 0.7),
+        (list(range(-83, 84)), 0.5),  # the A lanes of bilinear_check(bessel_pair(), 0.05, 0.5, 83)
+    ],
+)
+def test_a_lanes_equal_single_calls(ns, t):
+    """Each A lane has the bits of its single call, or raises its error, also
+    where other lanes of the same levels overflow; a numpy warning would fail
+    the test, since pytest turns RuntimeWarning into an error."""
+    pair = bessel_pair()
+    lanes = _a_lanes(pair, ns, t)
+    for lane, single in zip(lanes, (_single_a_call(pair, n, t) for n in ns)):
+        if isinstance(single, Exception):
+            assert (type(lane), str(lane)) == (type(single), str(single))
+        else:
+            assert lane == single
+    if t == 0.5:
+        failed = [n for n, lane in zip(ns, lanes) if isinstance(lane, Exception)]
+        # the most negative orders overflow; the rest are finite lanes of the same levels
+        assert failed and failed == ns[: len(failed)] and len(failed) < len(ns)
+        with pytest.raises(ArithmeticError) as info:
+            bilinear_check(pair, 0.05, 0.5, 83)
+        assert str(info.value) == str(lanes[0])
+
+
+def _scalar_a_lanes(pair, ns, t):
+    """The scalar integrand the array pass replaced: libm's pow per term,
+    each lane summed in node order from 0.0, inf once a power overflows."""
+
+    def g(xs, live):
+        sums = []
+        for i in live:
+            total = 0.0
+            try:
+                for x in xs:
+                    m = pair.inverse(x)
+                    expo = -t * t * x - 0.5 * m
+                    if not expo < -700.0:
+                        total += m ** float(ns[i]) * math.exp(expo) * x
+            except OverflowError:
+                total = math.inf
+            sums.append(total)
+        return sums
+
+    return _halfline_quadrature(g, len(ns))
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0, 7.0])
+def test_a_lanes_match_the_scalar_loop(t):
+    """np.power may differ from libm's pow in the last bit, so each value is
+    held to 4 eps of the scalar loop's (its terms are positive, so an ulp per
+    term moves the sum by about an ulp), at the same node count."""
+    pair = bessel_pair()
+    ns = [*range(-12, 13), -2.5, 1.5]
+    for lane, ref in zip(_a_lanes(pair, ns, t), _scalar_a_lanes(pair, ns, t)):
+        value, _, nodes = ref
+        assert lane.effort == nodes
+        assert lane.value == pytest.approx(value, rel=4 * 2.0**-52, abs=0.0)
+
+
+def test_a_samples_each_level_as_one_array():
+    """The A integrand passes each level's nodes to the pair's inverse as one
+    array, each node once, and the arrays add up to the nodes of the value."""
+    bessel = bessel_pair()
+    calls = []
+
+    def inverse(x):
+        if isinstance(x, np.ndarray):
+            calls.append(x)
+        return bessel.inverse(x)
+
+    pair = GeneratingPair("recorded", bessel.omega, inverse)
+    r = a_function(pair, 3, 2.0)
+    assert r == a_function(bessel, 3, 2.0)
+    assert [len(x) for x in calls] == [49, 48, 96]
+    nodes = np.concatenate(calls)
+    assert len(nodes) == r.effort and len(np.unique(nodes)) == len(nodes)
 
 
 def _gaussian_in_w(a):
