@@ -245,10 +245,10 @@ def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
     if not t <= _MAX_ARG:
         return [ValueError(f"t = {t} outside the supported range (0, {_MAX_ARG}]")] * len(ns)
     t2 = t * t
-    orders = np.array(ns, dtype=float)
+    orders = np.array(ns, dtype=float)[:, None]
 
     def g(xs: list, live: list) -> list:
-        x = np.array(xs)
+        x = np.fromiter(xs, float, len(xs))
         m = pair.inverse(x)
         expo = -t2 * x - 0.5 * m
         keep = ~(expo < -700.0)  # a NaN exponent is kept, so that its lane shows it
@@ -256,12 +256,13 @@ def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
         e = np.fromiter(map(math.exp, expo[keep].tolist()), float, len(x))
         # column 0 stays 0.0, so each running sum starts where a scalar loop does
         terms = np.zeros((len(live), len(x) + 1))
-        with np.errstate(over="ignore"):  # an inf power or term makes its lane read inf
-            terms[:, 1:] = np.power(m, orders[live, None]) * e * x
-            return np.add.accumulate(terms, axis=1)[:, -1].tolist()
+        terms[:, 1:] = np.power(m, orders[live]) * e * x
+        return np.add.accumulate(terms, axis=1)[:, -1].tolist()
 
+    with np.errstate(over="ignore"):  # an inf power or term makes its lane read inf
+        lanes = _halfline_quadrature(g, len(ns))
     out = []
-    for n, r in zip(ns, _halfline_quadrature(g, len(ns))):
+    for n, r in zip(ns, lanes):
         if isinstance(r, OverflowError):
             r = ArithmeticError(f"A_{n}({t}): Mho(x)^{n} leaves the float range at a quadrature node")
         out.append(r if isinstance(r, Exception) else EvalResult(*r))
