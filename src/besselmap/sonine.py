@@ -18,7 +18,8 @@ each level's new odd nodes.  On the circle the trapezoid mean of
 b_j tau_j^(-n) is r^(-n) B[n mod nodes]/nodes, B the discrete Fourier
 transform of the samples b_j, so one FFT per node count gives every Z lane.
 The half-line integrand sums a whole level for the lanes still live in one
-array pass: Mho on the level's nodes, one np.power over a lanes x nodes
+array pass: Mho on the level's nodes (computed once per inverse and level,
+since the levels' nodes never change), one np.power over a lanes x nodes
 matrix and one in-order running sum along the node axis, so an A lane takes
 its powers Mho(x)^n only while it is live.  A lane keeps its own
 stopping, divergence, budget and overflow rules, and ``z_function`` and
@@ -58,7 +59,9 @@ class GeneratingPair:
 
     ``omega`` receives the numpy array of all contour nodes at once and
     ``inverse`` the numpy array of one half-line level's nodes; both must act
-    elementwise.  The inverse check below also calls them on floats.
+    elementwise.  The inverse check below also calls them on floats.  Mho at
+    a level's nodes is kept per ``inverse``, which must therefore be a pure,
+    hashable function, as plain functions and lambdas are.
     Construction samples x in (0, 10] and requires Omega(Mho(x)) = x to
     1e-12; a pair that fails the inverse check is rejected.
     """
@@ -79,12 +82,21 @@ class GeneratingPair:
                 )
 
 
+def _half_reciprocal(x):
+    """1/(2x), elementwise: the Bessel pair's Omega, which is its own inverse."""
+    return 1.0 / (2.0 * x)
+
+
 def bessel_pair(radius: float = 1.0) -> GeneratingPair:
-    """The pair Omega(tau) = 1/(2 tau), Mho(x) = 1/(2 x)."""
+    """The pair Omega(tau) = 1/(2 tau), Mho(x) = 1/(2 x).
+
+    Every Bessel pair shares one function for both, so the half-line levels'
+    Mho samples are kept across pairs (see :func:`_level_samples`).
+    """
     return GeneratingPair(
         name="bessel",
-        omega=lambda tau: 1.0 / (2.0 * tau),
-        inverse=lambda x: 1.0 / (2.0 * x),
+        omega=_half_reciprocal,
+        inverse=_half_reciprocal,
         contour_radius=radius,
     )
 
@@ -227,18 +239,35 @@ def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
     return r
 
 
+@lru_cache(maxsize=16)
+def _level_samples(inverse: Callable, xs: tuple) -> tuple:
+    """(x, Mho(x), Mho(x)/2) as arrays at one half-line level's nodes xs.
+
+    The trapezoid's levels have the same nodes on every call, so the samples
+    are kept per (inverse, nodes), read-only; the ten levels a call can reach
+    hold 24,577 nodes in all.
+    """
+    x = np.array(xs)
+    m = inverse(x)
+    half = 0.5 * m
+    for a in (x, m, half):
+        a.flags.writeable = False
+    return x, m, half
+
+
 def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
     """A_n(t) for every n in ns from one half-line trapezoid, one lane per n.
 
-    Each level's nodes are sampled once, as one array: Mho(x) by the pair's
-    elementwise inverse, the exponent -t^2 x - Mho(x)/2, and libm's exp at
-    each node whose exponent is not below -700 (the others add nothing).
-    Then one np.power gives Mho(x)^n for every live lane at every kept node,
-    and each lane's term Mho(x)^n * exp(...) * x, the trailing x being the
-    e^w jacobian, is summed in node order by one np.add.accumulate from 0.0,
-    so a lane's sum has the bits of a scalar loop over its terms.  A lane
-    whose power or sum leaves the float range reads inf.  The result holds
-    each lane's EvalResult, or the exception ``a_function`` raises for that n.
+    Each level's nodes are sampled as one array: x, Mho(x) by the pair's
+    elementwise inverse and Mho(x)/2, kept per (inverse, level) by
+    :func:`_level_samples`; then the exponent -t^2 x - Mho(x)/2, and libm's exp
+    at each node whose exponent is not below -700 (the others add nothing).
+    One np.power gives Mho(x)^n for every live lane at every kept node, and
+    each lane's terms Mho(x)^n * exp(...) * x, the trailing x being the e^w
+    jacobian, are summed in node order by one np.add.accumulate, so a lane's
+    sum has the bits of a scalar loop over its terms from 0.0.  A lane whose
+    power or sum leaves the float range reads inf.  The result holds each
+    lane's EvalResult, or the exception ``a_function`` raises for that n.
     """
     if not t > 0:
         return [ValueError("t must be positive")] * len(ns)
@@ -248,18 +277,21 @@ def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
     orders = np.array(ns, dtype=float)[:, None]
 
     def g(xs: list, live: list) -> list:
-        x = np.fromiter(xs, float, len(xs))
-        m = pair.inverse(x)
-        expo = -t2 * x - 0.5 * m
+        x, m, half = _level_samples(pair.inverse, tuple(xs))
+        expo = x * -t2
+        expo -= half
         keep = ~(expo < -700.0)  # a NaN exponent is kept, so that its lane shows it
         x, m = x[keep], m[keep]
+        if not len(x):
+            return [0.0] * len(live)
         e = np.fromiter(map(math.exp, expo[keep].tolist()), float, len(x))
-        # column 0 stays 0.0, so each running sum starts where a scalar loop does
-        terms = np.zeros((len(live), len(x) + 1))
-        terms[:, 1:] = np.power(m, orders[live]) * e * x
-        return np.add.accumulate(terms, axis=1)[:, -1].tolist()
+        terms = np.power(m, orders if len(live) == len(ns) else orders[live])
+        terms *= e
+        terms *= x
+        # in node order; the + 0.0 gives a zero sum the sign of a loop from 0.0
+        return (np.add.accumulate(terms, axis=1)[:, -1] + 0.0).tolist()
 
-    with np.errstate(over="ignore"):  # an inf power or term makes its lane read inf
+    with np.errstate(all="ignore"):  # an inf or NaN power or term makes its lane's sum not finite
         lanes = _halfline_quadrature(g, len(ns))
     out = []
     for n, r in zip(ns, lanes):

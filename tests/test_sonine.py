@@ -362,6 +362,11 @@ def test_a_samples_each_level_as_one_array():
     assert [len(x) for x in calls] == [49, 48, 96]
     nodes = np.concatenate(calls)
     assert len(nodes) == r.effort and len(np.unique(nodes)) == len(nodes)
+    # Mho at a level's nodes is kept per inverse, read-only: another order and
+    # t on the same levels sample nothing again
+    assert a_function(pair, -2, 0.8) == a_function(bessel, -2, 0.8)
+    assert len(calls) == 3
+    assert not any(x.flags.writeable for x in calls)
 
 
 def _gaussian_in_w(a):
