@@ -291,7 +291,7 @@ def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
         # in node order; the + 0.0 gives a zero sum the sign of a loop from 0.0
         return (np.add.accumulate(terms, axis=1)[:, -1] + 0.0).tolist()
 
-    with np.errstate(all="ignore"):  # an inf or NaN power or term makes its lane's sum not finite
+    with np.errstate(over="ignore"):  # an inf power or term makes its lane read inf
         lanes = _halfline_quadrature(g, len(ns))
     out = []
     for n, r in zip(ns, lanes):

@@ -369,6 +369,14 @@ def test_a_samples_each_level_as_one_array():
     assert not any(x.flags.writeable for x in calls)
 
 
+def test_a_level_with_no_node_above_the_exponent_floor_adds_nothing():
+    # Mho(x) = 1e4/x puts -t^2 x - Mho(x)/2 below -700 at every node once t >= 5,
+    # so every level keeps no node and A_n(t), about exp(-848) here, reads 0
+    pair = GeneratingPair("far", lambda tau: 1e4 / tau, lambda x: 1e4 / x)
+    r = a_function(pair, 2, 6.0)
+    assert (r.value, r.effort) == (0.0, 97)
+
+
 def _gaussian_in_w(a):
     # exp(-a w^2) at x = e^w: the wider it is, the fewer doublings it needs
     return lambda x: math.exp(-a * math.log(x) ** 2)
