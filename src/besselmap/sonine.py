@@ -239,27 +239,37 @@ def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
     return r
 
 
-@lru_cache(maxsize=16)
-def _level_samples(inverse: Callable, xs: tuple) -> tuple:
-    """(x, Mho(x), Mho(x)/2) as arrays at one half-line level's nodes xs.
+@lru_cache(maxsize=4)
+def _mho_levels(inverse: Callable) -> dict:
+    """The half-line levels' samples kept for one inverse, filled as calls
+    reach the levels (see :func:`_level_samples`)."""
+    return {}
+
+
+def _level_samples(inverse: Callable, xs: list) -> tuple:
+    """(x, Mho(x), Mho(x)/2) as read-only arrays at one half-line level's nodes xs.
 
     The trapezoid's levels have the same nodes on every call, so the samples
-    are kept per (inverse, nodes), read-only; the ten levels a call can reach
-    hold 24,577 nodes in all.
+    are computed once per inverse and level, a level being known by its node
+    count and first node, which differ between the trapezoid's levels; the
+    ten levels a call can reach hold 24,577 nodes in all.
     """
-    x = np.array(xs)
-    m = inverse(x)
-    half = 0.5 * m
-    for a in (x, m, half):
-        a.flags.writeable = False
-    return x, m, half
+    levels = _mho_levels(inverse)
+    key = (len(xs), xs[0])
+    if key not in levels:
+        x = np.array(xs)
+        m = inverse(x)
+        levels[key] = (x, m, 0.5 * m)
+        for a in levels[key]:
+            a.flags.writeable = False
+    return levels[key]
 
 
 def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
     """A_n(t) for every n in ns from one half-line trapezoid, one lane per n.
 
     Each level's nodes are sampled as one array: x, Mho(x) by the pair's
-    elementwise inverse and Mho(x)/2, kept per (inverse, level) by
+    elementwise inverse and Mho(x)/2, kept per inverse and level by
     :func:`_level_samples`; then the exponent -t^2 x - Mho(x)/2, and libm's exp
     at each node whose exponent is not below -700 (the others add nothing).
     One np.power gives Mho(x)^n for every live lane at every kept node, and
@@ -277,7 +287,7 @@ def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
     orders = np.array(ns, dtype=float)[:, None]
 
     def g(xs: list, live: list) -> list:
-        x, m, half = _level_samples(pair.inverse, tuple(xs))
+        x, m, half = _level_samples(pair.inverse, xs)
         expo = x * -t2
         expo -= half
         keep = ~(expo < -700.0)  # a NaN exponent is kept, so that its lane shows it
