@@ -276,12 +276,12 @@ def test_csv_format_takes_only_reports(run_cli, args):
         (("eval", "--fn", "Z", "--order", "nan", "--arg", "1"), "takes an integer order; got nan"),
         (("eval", "--fn", "A", "--order", "nan", "--arg", "1"), "takes an integer order; got nan"),
         (("eval", "--fn", "A", "--order", "1", "--arg", "nan"), "t must be positive"),
+        (("eval", "--fn", "Z", "--order", "1", "--arg", "50"), "|z| = 50.0 outside the supported range"),
         # A once printed "arg": Infinity, which is not JSON, with the value 0
         (("eval", "--fn", "A", "--order", "3", "--arg", "inf"), "t = inf outside the supported range (0, 20.0]"),
         (("eval", "--fn", "A", "--order", "3", "--arg", "25"), "t = 25.0 outside the supported range (0, 20.0]"),
         (("eval", "--fn", "A", "--order", "inf", "--arg", "2"), "takes an integer order; got inf"),
         (("eval", "--fn", "A", "--order=-inf", "--arg", "2"), "takes an integer order; got -inf"),
-        (("eval", "--fn", "Z", "--order", "1", "--arg", "50"), "|z| = 50.0 outside the supported range"),
     ],
 )
 def test_eval_nan_and_out_of_range_input_is_a_domain_error(run_cli, args, message):
