@@ -18,10 +18,9 @@ each level's new odd nodes.  On the circle the trapezoid mean of
 b_j tau_j^(-n) is r^(-n) B[n mod nodes]/nodes, B the discrete Fourier
 transform of the samples b_j, so one FFT per node count gives every Z lane.
 The half-line integrand sums a whole level for the lanes still live in one
-array pass: Mho on the level's nodes (computed once per inverse and level,
-since the levels' nodes never change), one np.power over a lanes x nodes
-matrix and one in-order running sum along the node axis, so an A lane takes
-its powers Mho(x)^n only while it is live.  A lane keeps its own
+array pass: Mho on the level's shared node array, one np.power over a
+lanes x nodes matrix and one in-order running sum along the node axis, so an
+A lane takes its powers Mho(x)^n only while it is live.  A lane keeps its own
 stopping, divergence, budget and overflow rules, and ``z_function`` and
 ``a_function`` are the one-lane cases, so each term has the bits of its
 single call.
@@ -44,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .specfun import _EPS, _MAX_ARG, EvalResult, _halfline_quadrature
+from .specfun import _EPS, _MAX_ARG, EvalResult, _check_t, _halfline_quadrature
 
 __all__ = ["GeneratingPair", "bessel_pair", "z_function", "a_function", "bilinear_check"]
 
@@ -58,10 +57,9 @@ class GeneratingPair:
     """An (Omega, Mho) pair with its contour radius.
 
     ``omega`` receives the numpy array of all contour nodes at once and
-    ``inverse`` the numpy array of one half-line level's nodes; both must act
-    elementwise.  The inverse check below also calls them on floats.  Mho at
-    a level's nodes is kept per ``inverse``, which must therefore be a pure,
-    hashable function, as plain functions and lambdas are.
+    ``inverse`` the read-only numpy array of one half-line level's nodes;
+    both must act elementwise.  The inverse check below also calls them on
+    floats.
     Construction samples x in (0, 10] and requires Omega(Mho(x)) = x to
     1e-12; a pair that fails the inverse check is rejected.
     """
@@ -88,11 +86,7 @@ def _half_reciprocal(x):
 
 
 def bessel_pair(radius: float = 1.0) -> GeneratingPair:
-    """The pair Omega(tau) = 1/(2 tau), Mho(x) = 1/(2 x).
-
-    Every Bessel pair shares one function for both, so the half-line levels'
-    Mho samples are kept across pairs (see :func:`_level_samples`).
-    """
+    """The pair Omega(tau) = 1/(2 tau), Mho(x) = 1/(2 x): one function, its own inverse."""
     return GeneratingPair(
         name="bessel",
         omega=_half_reciprocal,
@@ -239,57 +233,31 @@ def a_function(pair: GeneratingPair, n: int, t: float) -> EvalResult:
     return r
 
 
-@lru_cache(maxsize=4)
-def _mho_levels(inverse: Callable) -> dict:
-    """The half-line levels' samples kept for one inverse, filled as calls
-    reach the levels (see :func:`_level_samples`)."""
-    return {}
-
-
-def _level_samples(inverse: Callable, xs: list) -> tuple:
-    """(x, Mho(x), Mho(x)/2) as read-only arrays at one half-line level's nodes xs.
-
-    The trapezoid's levels have the same nodes on every call, so the samples
-    are computed once per inverse and level, a level being known by its node
-    count and first node, which differ between the trapezoid's levels; the
-    ten levels a call can reach hold 24,577 nodes in all.
-    """
-    levels = _mho_levels(inverse)
-    key = (len(xs), xs[0])
-    if key not in levels:
-        x = np.array(xs)
-        m = inverse(x)
-        levels[key] = (x, m, 0.5 * m)
-        for a in levels[key]:
-            a.flags.writeable = False
-    return levels[key]
-
-
 def _a_lanes(pair: GeneratingPair, ns: list, t: float) -> list:
     """A_n(t) for every n in ns from one half-line trapezoid, one lane per n.
 
-    Each level's nodes are sampled as one array: x, Mho(x) by the pair's
-    elementwise inverse and Mho(x)/2, kept per inverse and level by
-    :func:`_level_samples`; then the exponent -t^2 x - Mho(x)/2, and libm's exp
-    at each node whose exponent is not below -700 (the others add nothing).
-    One np.power gives Mho(x)^n for every live lane at every kept node, and
-    each lane's terms Mho(x)^n * exp(...) * x, the trailing x being the e^w
-    jacobian, are summed in node order by one np.add.accumulate, so a lane's
-    sum has the bits of a scalar loop over its terms from 0.0.  A lane whose
-    power or sum leaves the float range reads inf.  The result holds each
-    lane's EvalResult, or the exception ``a_function`` raises for that n.
+    Each level's nodes x come as one shared array, and the pair's elementwise
+    inverse gives Mho(x) on all of them; then the exponent -t^2 x - Mho(x)/2,
+    and libm's exp at each node whose exponent is not below -700 (the others
+    add nothing).  One np.power gives Mho(x)^n for every live lane at every
+    kept node, and each lane's terms Mho(x)^n * exp(...) * x, the trailing x
+    being the e^w jacobian, are summed in node order by one np.add.accumulate,
+    so a lane's sum has the bits of a scalar loop over its terms from 0.0.  A
+    lane whose power or sum leaves the float range reads inf.  The result
+    holds each lane's EvalResult, or the exception ``a_function`` raises for
+    that n.
     """
-    if not t > 0:
-        return [ValueError("t must be positive")] * len(ns)
-    if not t <= _MAX_ARG:
-        return [ValueError(f"t = {t} outside the supported range (0, {_MAX_ARG}]")] * len(ns)
+    try:
+        _check_t(t)
+    except ValueError as e:
+        return [e] * len(ns)
     t2 = t * t
     orders = np.array(ns, dtype=float)[:, None]
 
-    def g(xs: list, live: list) -> list:
-        x, m, half = _level_samples(pair.inverse, xs)
+    def g(x: np.ndarray, live: list) -> list:
+        m = pair.inverse(x)
         expo = x * -t2
-        expo -= half
+        expo -= 0.5 * m
         keep = ~(expo < -700.0)  # a NaN exponent is kept, so that its lane shows it
         x, m = x[keep], m[keep]
         if not len(x):

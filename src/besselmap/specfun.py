@@ -12,8 +12,8 @@ The evaluators are deliberately series/quadrature based and self-contained:
 * ``k_bessel`` -- a one-lane run of the half-line trapezoid (shared with
   ``sonine.a_function``) after an exponential substitution that makes the integrand decay
   double-exponentially at both ends, with nested node doubling until stabilization:
-  each doubling samples only its new odd nodes, and the integrand sums a whole
-  level for the lanes still live.
+  each doubling samples only its new odd nodes, whose values are built once per
+  process, and the integrand sums a whole level for the lanes still live.
 * ``log_reduced_j`` / ``neumann_scaled_table`` -- (signs, logs) arrays of
   J_m(z)/z^m and t^m N_m(t) for every order m = 0..max, for sums whose
   factors overflow or underflow double precision: every order's bracket in
@@ -277,6 +277,31 @@ _HALFLINE_REL_TARGET = 1e-12  # node doubling stops at this relative change
 _LOG_MAX = math.log(np.finfo(float).max)  # k_bessel's overflow test
 
 
+def _check_t(t: float) -> None:
+    """The guard on a half-line argument t: 0 < t <= 20, NaN failing."""
+    if not 0.0 < t <= _MAX_ARG:
+        raise ValueError(f"t = {t} outside the supported range (0, {_MAX_ARG}]")
+
+
+# Each level's array is built once; the trapezoid's budget stops it at level 9.
+@lru_cache(maxsize=None)
+def _halfline_level(i: int) -> np.ndarray:
+    """The new nodes of the half-line trapezoid's level i, as a read-only
+    float64 array: e^w and e^-w for w = h, h + step, ... (a running sum) up
+    to the window's edge, with h = 2^-(i+1) and step 2h.  Level 0 also holds
+    w = 0 and steps by h, so it takes every multiple of 0.5."""
+    h = 0.5 ** (i + 1)
+    step = h if i == 0 else 2.0 * h
+    xs = [1.0] if i == 0 else []
+    w = h
+    while w <= _HALFLINE_WINDOW:
+        xs += (math.exp(w), math.exp(-w))
+        w += step
+    out = np.array(xs)
+    out.flags.writeable = False
+    return out
+
+
 def _halfline_quadrature(g, lanes: int) -> list:
     """Trapezoid in w for the integral over the real line of each lane of g at
     x = e^w.
@@ -288,15 +313,17 @@ def _halfline_quadrature(g, lanes: int) -> list:
     is nested: the first level samples w = 0, +/-0.5, ..., +/-12, and each
     later one samples only its new odd nodes and adds them to the running
     sum, S(h) = S(2h)/2 + h * sum(new nodes), so every node is sampled once.
-    A new level starts while fewer than 16384 nodes have been taken, so the
-    last level has 24577.
+    A new level starts while fewer than 16384 nodes have been taken, so a
+    call reaches at most ten levels, 24,577 nodes in all.  Their nodes are
+    the same on every call: each level's array is built once per process
+    (:func:`_halfline_level`).
 
     g has one contract.  For each level it is called once as g(xs, live),
-    with the level's new nodes xs and the indices of the lanes still live,
-    and returns one sum per live lane: that lane's integrand summed over xs
-    in order, starting from 0.0.  A sum that leaves the float range reads
-    inf.  Each lane stops on its own test, as ``log_reduced_j``'s lanes do,
-    so a lane has the bits of its one-lane run.
+    with the level's new nodes xs (the shared read-only array) and the
+    indices of the lanes still live, and returns one sum per live lane: that
+    lane's integrand summed over xs in order, starting from 0.0.  A sum that
+    leaves the float range reads inf.  Each lane stops on its own test, as
+    ``log_reduced_j``'s lanes do, so a lane has the bits of its one-lane run.
 
     The trapezoid raises nothing itself: it returns a list with each lane's
     (value, err, nodes), or that lane's exception, which the caller raises
@@ -307,18 +334,9 @@ def _halfline_quadrature(g, lanes: int) -> list:
     to stabilize, both ArithmeticError; a sum that leaves the float range is
     OverflowError.
     """
-
-    def level(w: float, step: float) -> list:
-        """e^w and e^-w for w, w + step, ... within the window."""
-        xs = []
-        while w <= _HALFLINE_WINDOW:
-            xs.append(math.exp(w))
-            xs.append(math.exp(-w))
-            w += step
-        return xs
-
     h = 0.5
-    xs = [1.0] + level(h, h)  # w = 0 and the first level
+    level = 0
+    xs = _halfline_level(level)
     nodes = len(xs)
     live = list(range(lanes))
     raw = list(g(xs, live))
@@ -328,7 +346,8 @@ def _halfline_quadrature(g, lanes: int) -> list:
     out: list = [None] * lanes
     while live and nodes < _NODE_BUDGET:
         h *= 0.5
-        xs = level(h, 2.0 * h)
+        level += 1
+        xs = _halfline_level(level)
         nodes += len(xs)
         going = []
         for i, s in zip(live, g(xs, live)):
@@ -362,14 +381,13 @@ def k_bessel(nu: float, t: float) -> EvalResult:
     has failed."""
     nu = float(nu)
     t = float(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_t(t)
     _check_domain(nu, t)
     quart = 0.25 * t * t
 
-    def g(xs: list, live: list) -> list:
+    def g(xs: np.ndarray, live: list) -> list:
         total = 0.0
-        for s in xs:
+        for s in xs.tolist():
             expo = -s - quart / s - nu * math.log(s)
             if expo >= -700.0:
                 total += math.exp(expo)  # includes the e^w jacobian: s^(-nu-1) * s = s^(-nu)
@@ -625,11 +643,9 @@ def neumann_scaled_table(t: float, pmax: int) -> tuple[np.ndarray, np.ndarray]:
     by a power of two commutes with IEEE rounding while the numbers stay
     normal, so every G_p has the bits of a recurrence that splits each value
     into mantissa and exponent at every step."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+    _check_t(t)
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
-    # the public neumann seeds the table: its guard is the only one on EQ9/EQ11's t
     a = neumann(0.0, t).value.real
     b = t * neumann(1.0, t).value.real
     tt = t * t

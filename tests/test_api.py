@@ -68,6 +68,7 @@ def test_public_names_are_pinned():
 
 _ORDER = r"\|nu\| = nan outside the supported order range"
 _ARG = r"\|z\| = nan outside the supported range"
+_T = r"^t = nan outside the supported range \(0, 20\.0\]$"
 
 # (call, the domain error it raises): a NaN order, then a NaN argument, per entry point
 _NAN_CALLS = {
@@ -79,17 +80,17 @@ _NAN_CALLS = {
     "hankel-order": (lambda: hankel(1, NAN, 1.0), _ORDER),
     "hankel-arg": (lambda: hankel(2, 1.0, NAN), _ARG),
     "k_bessel-order": (lambda: k_bessel(NAN, 1.0), _ORDER),
-    "k_bessel-arg": (lambda: k_bessel(0.5, NAN), _ARG),
+    "k_bessel-arg": (lambda: k_bessel(0.5, NAN), _T),
     "lambda_taylor_target-order": (lambda: lambda_taylor_target("N", NAN, 1, 1.0), _ORDER),
     "lambda_taylor_target-probe": (lambda: lambda_taylor_target("N", 0, 1, NAN), _ARG),
     "z_function-order": (lambda: z_function(bessel_pair(), NAN, 1.0), "integer n"),
     "z_function-arg": (lambda: z_function(bessel_pair(), 1, NAN), _ARG),
     "a_function-order": (lambda: a_function(bessel_pair(), NAN, 1.0), "real order n; got n = nan"),
-    "a_function-arg": (lambda: a_function(bessel_pair(), 1, NAN), "t must be positive"),
+    "a_function-arg": (lambda: a_function(bessel_pair(), 1, NAN), _T),
     "bilinear_check-z": (lambda: bilinear_check(bessel_pair(), NAN, 2.0, 10), _ARG),
-    "bilinear_check-t": (lambda: bilinear_check(bessel_pair(), 0.5, NAN, 10), "t must be positive"),
+    "bilinear_check-t": (lambda: bilinear_check(bessel_pair(), 0.5, NAN, 10), _T),
     "log_reduced_j": (lambda: log_reduced_j(5, NAN), "z must be >= 0"),
-    "neumann_scaled_table": (lambda: neumann_scaled_table(NAN, 5), "t must be positive"),
+    "neumann_scaled_table": (lambda: neumann_scaled_table(NAN, 5), _T),
     "check_integer_shift-t": (lambda: check_integer_shift(t=NAN), r"t must lie in \(0, 2\]"),
     "check_eq3_closure-order": (lambda: check_eq3_closure(nus=(NAN,)), _ORDER),
     "check_eq3_closure-arg": (lambda: check_eq3_closure(zs=(NAN,)), _ARG),

@@ -272,10 +272,13 @@ def test_csv_format_takes_only_reports(run_cli, args):
     "args, message",
     [
         *[(("eval", "--fn", fn, "--order", "nan", "--arg", "1"), "|nu| = nan") for fn in ("J", "N", "H1", "H2", "K")],
-        *[(("eval", "--fn", fn, "--order", "1", "--arg", "nan"), "|z| = nan") for fn in ("J", "N", "H1", "H2", "K", "Z")],
+        *[
+            (("eval", "--fn", fn, "--order", "1", "--arg", "nan"), "t = nan" if fn == "K" else "|z| = nan")
+            for fn in ("J", "N", "H1", "H2", "K", "Z")
+        ],
         (("eval", "--fn", "Z", "--order", "nan", "--arg", "1"), "takes an integer order; got nan"),
         (("eval", "--fn", "A", "--order", "nan", "--arg", "1"), "takes an integer order; got nan"),
-        (("eval", "--fn", "A", "--order", "1", "--arg", "nan"), "t must be positive"),
+        (("eval", "--fn", "A", "--order", "1", "--arg", "nan"), "t = nan outside the supported range (0, 20.0]"),
         (("eval", "--fn", "Z", "--order", "1", "--arg", "50"), "|z| = 50.0 outside the supported range"),
         # A once printed "arg": Infinity, which is not JSON, with the value 0
         (("eval", "--fn", "A", "--order", "3", "--arg", "inf"), "t = inf outside the supported range (0, 20.0]"),
@@ -333,7 +336,7 @@ _NEGATIVE_Z = (ValueError, "z must be >= 0 and finite")
         ("EQ11_SUM", {"z": -0.5, "t": 2.0}, _NEGATIVE_Z),
         ("EQ9_REAL", {"z": -0.5, "t": 2.0}, _NEGATIVE_Z),
         ("EQ11_SUM", {"z": math.nan}, _NEGATIVE_Z),
-        ("EQ9_REAL", {"t": math.nan}, (ValueError, "t must be positive")),
+        ("EQ9_REAL", {"t": math.nan}, (ValueError, "t = nan outside the supported range (0, 20.0]")),
         ("EQ11_SUM", {"z": math.inf}, _NEGATIVE_Z),
         ("EQ9_REAL", {"z": math.inf}, _NEGATIVE_Z),
     ],

@@ -17,7 +17,8 @@ from besselmap.sonine import (
     _tail_fit,
     _z_lanes,
 )
-from besselmap.specfun import EvalResult, _halfline_quadrature
+from besselmap import sonine, specfun
+from besselmap.specfun import EvalResult, _halfline_level, _halfline_quadrature
 
 
 def test_pair_registry():
@@ -246,7 +247,7 @@ def test_bilinear_raises_the_first_single_call_error():
     # n ascending, Z_n before A_n: Z_-10(15) fails before any A is looked at
     with pytest.raises(ArithmeticError, match=r"^Z_-10\(15\.0\) did not converge"):
         bilinear_check(bessel_pair(), 15.0, 16.0, 10)
-    with pytest.raises(ValueError, match="^t must be positive$"):
+    with pytest.raises(ValueError, match=r"^t = -1\.0 outside the supported range \(0, 20\.0\]$"):
         bilinear_check(bessel_pair(), 0.5, -1.0, 10)
 
 
@@ -312,14 +313,15 @@ def test_a_lanes_equal_single_calls(ns, t):
 
 def _scalar_a_lanes(pair, ns, t):
     """The scalar integrand the array pass replaced: libm's pow per term,
-    each lane summed in node order from 0.0, inf once a power overflows."""
+    each lane summed in node order from 0.0, inf once a power overflows
+    (Python floats, so an overflowing ** raises rather than warns)."""
 
     def g(xs, live):
         sums = []
         for i in live:
             total = 0.0
             try:
-                for x in xs:
+                for x in xs.tolist():
                     m = pair.inverse(x)
                     expo = -t * t * x - 0.5 * m
                     if not expo < -700.0:
@@ -362,11 +364,33 @@ def test_a_samples_each_level_as_one_array():
     assert [len(x) for x in calls] == [49, 48, 96]
     nodes = np.concatenate(calls)
     assert len(nodes) == r.effort and len(np.unique(nodes)) == len(nodes)
-    # Mho at a level's nodes is kept per inverse, read-only: another order and
-    # t on the same levels sample nothing again
+    # another order and t on the same levels get the very same read-only arrays
     assert a_function(pair, -2, 0.8) == a_function(bessel, -2, 0.8)
-    assert len(calls) == 3
+    assert len(calls) > 3 and all(x is y for x, y in zip(calls[3:], calls))
+    assert all(x is _halfline_level(i) for i, x in enumerate(calls[3:]))
     assert not any(x.flags.writeable for x in calls)
+
+
+def test_k_and_a_read_the_same_level_arrays(monkeypatch):
+    """K and A are runs of one trapezoid, whose level arrays are built once:
+    every call's integrand receives the same array objects."""
+    seen = []
+
+    def recording(g, lanes):
+        def g_seen(xs, live):
+            seen.append(xs)
+            return g(xs, live)
+
+        return _halfline_quadrature(g_seen, lanes)
+
+    monkeypatch.setattr(specfun, "_halfline_quadrature", recording)
+    monkeypatch.setattr(sonine, "_halfline_quadrature", recording)
+    k = k_bessel(1.5, 1.0)
+    a = a_function(bessel_pair(), 3, 2.0)
+    assert k.effort == a.effort == 193
+    assert len(seen) == 6
+    assert all(x is _halfline_level(i) for i, x in enumerate(seen[:3]))
+    assert all(x is y for x, y in zip(seen[3:], seen[:3]))
 
 
 def test_a_level_with_no_node_above_the_exponent_floor_adds_nothing():
@@ -395,7 +419,7 @@ def _lanes(fns):
         sums = []
         for i in live:
             total = 0.0
-            for x in xs:
+            for x in xs.tolist():
                 total += fns[i](x)
             sums.append(total)
         return sums

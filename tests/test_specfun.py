@@ -27,6 +27,7 @@ from besselmap.logseries import LogPowerSeries
 from besselmap.specfun import (
     FAMILIES,
     _PSI,
+    _halfline_level,
     _halfline_quadrature,
     _neumann_jet,
     _neumann_jet_rows,
@@ -551,7 +552,7 @@ def test_k_estimate_is_positive_and_bounds_the_error(nu, i):
 def test_halfline_quadrature_raises_on_divergence():
     # 1/w^4 near w = 0: each halving of the node spacing multiplies the sum by ~8
     def g(xs, live):
-        return [sum(0.0 if x == 1.0 else math.log(x) ** -4 for x in xs)]
+        return [sum(0.0 if x == 1.0 else math.log(x) ** -4 for x in xs.tolist())]
 
     (r,) = _halfline_quadrature(g, 1)
     with pytest.raises(ArithmeticError, match="diverges"):
@@ -562,6 +563,36 @@ def test_k_budget_error_names_the_nodes_sampled():
     # a new level starts while fewer than 16384 nodes are taken, so the last has 24577
     with pytest.raises(ArithmeticError, match=r"failed to stabilize within 24577 nodes \(last delta"):
         k_bessel(0.5, 0.02)
+
+
+def _rebuilt_levels():
+    """The level nodes as the trapezoid once built them on every call: e^w and
+    e^-w with w a running sum, level 0 led by w = 0."""
+
+    def level(w, step):
+        xs = []
+        while w <= 12.0:
+            xs.append(math.exp(w))
+            xs.append(math.exp(-w))
+            w += step
+        return xs
+
+    h = 0.5
+    out = [[1.0] + level(h, h)]
+    for _ in range(9):
+        h *= 0.5
+        out.append(level(h, 2.0 * h))
+    return out
+
+
+def test_halfline_levels_are_one_read_only_table():
+    levels = [_halfline_level(i) for i in range(10)]
+    # bit for bit: every node is a positive finite float, so == compares bits
+    assert [x.tolist() for x in levels] == _rebuilt_levels()
+    assert all(x.dtype == np.float64 and not x.flags.writeable for x in levels)
+    nodes = np.concatenate(levels)
+    assert len(nodes) == len(np.unique(nodes)) == 24577
+    assert _halfline_level(3) is levels[3]
 
 
 def test_k_domain_errors():
