@@ -566,8 +566,8 @@ def test_k_budget_error_names_the_nodes_sampled():
 
 
 def _rebuilt_levels():
-    """The level nodes as the trapezoid once built them on every call: e^w and
-    e^-w with w a running sum, level 0 led by w = 0."""
+    """The reference construction of the level nodes, one list per level: e^w
+    and e^-w with w a running sum of the step, level 0 led by w = 0."""
 
     def level(w, step):
         xs = []
