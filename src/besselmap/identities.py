@@ -9,7 +9,7 @@ products do, so terms are assembled in (sign, log-magnitude) form.  Each
 factor is one (signs, logs) table over orders m >= 0 from
 :mod:`besselmap.specfun`, each built in whole-array passes with the bits of
 a per-order loop, and reflected once onto n = -N..N through index arrays
-kept per range; the terms, their partial sums and the tail fit are arrays,
+built per call; the terms, their partial sums and the tail fit are arrays,
 computed once per (z, t, N) for both checks.  libm's exp and log are taken
 per element, since numpy's differ from them by an ulp at some arguments.
 
@@ -190,7 +190,7 @@ def _bilinear_sums(z: float, t: float, N: int):
 
 
 def _bilinear_prelude(z: float, t: float, N: int) -> tuple[float, str]:
-    """Check what only a bilinear check guards (``log_reduced_j`` guards z >= 0,
+    """Check what only a bilinear check guards (``log_reduced_j`` guards 0 <= z <= 20,
     and a NaN passes on to it or to t's guard); return its target and notes."""
     if N < 10:
         raise ValueError("N must be >= 10")

@@ -46,7 +46,7 @@ left inverse of the single-step antiderivative termwise.
 The two single-step operators are also exported as array kernels,
 :func:`derivative_block` and :func:`antiderivative_block`, which act on a
 coefficient block of shape ``(rows, J, *batch)``; :mod:`besselmap.sigmaop`
-composes its operator matrix from them.
+applies Sigma by running them on a series' real (re, im) block.
 """
 
 from __future__ import annotations

@@ -26,13 +26,13 @@ powers generated from log terms) received every in-window contribution.
 :func:`lambda_coefficients` raises :class:`ReliableOrderExhausted` when
 K_trunc - J*M < 0; the partial sums are not guarded and carry their K_trunc.
 
-Sigma is linear and its action depends only on where a series' dense
-coefficient block sits (k_min, K_trunc, its log columns), on M and on the
-series' variable.  So it is applied as one real matrix-vector product.  The
-matrix is composed once from the derivative and antiderivative kernels
-of :mod:`besselmap.logseries` and kept in a bounded LRU cache keyed by
-that structure.  The lam^j ladder of the exponential is repeated
-products, one per order; a ladder up to the largest order also yields
+Sigma is applied by its definition: the derivative and antiderivative
+kernels of :mod:`besselmap.logseries` run M steps each on the series'
+dense coefficient block, and each step's weighted image is added into the
+result, so the result has the bits of the sum built term by term from
+:meth:`LogPowerSeries.derivative`, :meth:`LogPowerSeries.antiderivative`,
+``scale`` and ``add``.  The lam^j ladder of the exponential is repeated
+applications, one per order; a ladder up to the largest order also yields
 every lower truncation as a partial sum (:func:`exp_sigma_partial_sums`).
 
 The truncated map is a diagnostic object: how closely it reproduces
@@ -43,12 +43,11 @@ not assumed.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from itertools import accumulate, repeat
 
 import numpy as np
 
-from .logseries import LogPowerSeries, antiderivative_block, derivative_block
+from .logseries import LogPowerSeries, _complex_block, _real_block, antiderivative_block, derivative_block
 
 __all__ = [
     "MAP_FOR_TAG",
@@ -61,10 +60,6 @@ __all__ = [
 
 # series variable -> (Sigma variant, sign of the exponent) of its map
 MAP_FOR_TAG = {"u-of-z": ("z1", -1), "u-of-t": ("z2", 1)}
-
-# Operator matrices kept, one per input structure (k_min, K_trunc, J, M,
-# variant).  A pass of the identity battery touches a few dozen structures.
-SIGMA_CACHE_SIZE = 64
 
 
 class ReliableOrderExhausted(ValueError):
@@ -81,20 +76,21 @@ def _check(M: int, J: int = 0, lam: float = 0.0) -> None:
         raise ValueError("lam must lie in [0, 1]")
 
 
-@lru_cache(maxsize=SIGMA_CACHE_SIZE)
-def _sigma_matrix(k_min: int, K_trunc: int, J: int, M: int, variant: str) -> np.ndarray:
-    """Sigma as a real matrix, stored transposed: row i is the image of the
-    i-th input coefficient.  Inputs lie on the (k_min..K_trunc, J) grid and
-    outputs on the (k_min-M..K_trunc-M, J+1) grid, both flattened row-major.
-    Built by applying the derivative and antiderivative kernels to the
-    identity basis, M times each."""
-    R = K_trunc - k_min + 1
-    n = R * J
-    acc = np.zeros((R, J + 1, n))
-    d = a = np.eye(n).reshape(R, J, n)
+def apply_sigma(s: LogPowerSeries, M: int) -> LogPowerSeries:
+    """One application of Sigma with window M; the result's reliable order is K_trunc - M.
+
+    The definition, one m at a time: d^m s and I^m s are taken step by step
+    on the series' real (re, im) block, and w(m)/m times each is added and
+    subtracted, in that order, into the result's rows k_min-M..K_trunc-M.
+    """
+    _check(M)
+    R, J = s.coef.shape
+    variant = MAP_FOR_TAG[s.variable_tag][0]
+    acc = np.zeros((R, J + 1, 2))
+    d = a = _real_block(s.coef)
     for m in range(1, M + 1):
-        d = derivative_block(d, k_min - m + 1)
-        a = antiderivative_block(a, k_min + m - 1)
+        d = derivative_block(d, s.k_min - m + 1)
+        a = antiderivative_block(a, s.k_min + m - 1)
         if not a[:, -1].any():  # the log degree grows only through the u^-1 row
             a = a[:, :-1]
         w = (1.0 if variant == "z1" else (-1.0) ** m) / m
@@ -103,29 +99,7 @@ def _sigma_matrix(k_min: int, K_trunc: int, J: int, M: int, variant: str) -> np.
             acc[M - m :, :J] += w * d[: R - (M - m)]
         if M + m < R:
             acc[M + m :, : a.shape[1]] -= w * a[: R - (M + m)]
-    matrix = np.ascontiguousarray(acc.reshape(R * (J + 1), n).T)
-    matrix.flags.writeable = False
-    return matrix
-
-
-def apply_sigma(s: LogPowerSeries, M: int) -> LogPowerSeries:
-    """One application of Sigma with window M; the result's reliable order is K_trunc - M.
-
-    One real matrix-vector product: the cached operator matrix for the
-    series' structure times its real and its imaginary coefficients.  The
-    products are summed over the input coefficients in order by numpy's
-    reduction, not by BLAS, so the rounding does not depend on the BLAS
-    kernel a CPU picks, and coefficients that are zero change no sum.
-    """
-    _check(M)
-    R, J = s.coef.shape
-    if R == 0:
-        return LogPowerSeries._from_block(s.variable_tag, 0, s.K_trunc - M, s.coef)
-    matrix = _sigma_matrix(s.k_min, s.K_trunc, J, M, MAP_FOR_TAG[s.variable_tag][0])
-    re_im = np.ascontiguousarray(s.coef).view(np.float64).reshape(R * J, 2)
-    out = (matrix[:, None, :] * re_im[:, :, None]).sum(axis=0)
-    coef = np.ascontiguousarray(out.T).view(np.complex128).reshape(R, J + 1)
-    return LogPowerSeries._from_block(s.variable_tag, s.k_min - M, s.K_trunc - M, coef)
+    return LogPowerSeries._from_block(s.variable_tag, s.k_min - M, s.K_trunc - M, _complex_block(acc))
 
 
 def _sigma_ladder(s: LogPowerSeries, M: int, J: int):

@@ -222,7 +222,7 @@ def test_check_handled_overflow_writes_nothing_to_stderr():
     r = run_cold("--format", "json", "check", "--id", "EQ17_SHIFT", "--jmax-list", "2", "40")
     assert r.returncode == 1
     assert r.stderr == ""
-    assert json.loads(r.stdout)["observed"] == [5.085001414992859e26, math.inf]
+    assert json.loads(r.stdout)["observed"] == [5.0850014149928566e26, math.inf]
 
 
 def test_check_failing_identity_exits_one(run_cli):
@@ -268,24 +268,34 @@ def test_csv_format_takes_only_reports(run_cli, args):
     assert f"error: --format csv writes identity reports (check, suite); {args[0]} has none" in r.stderr
 
 
+def _input_id(args):
+    """A test id naming the input: ("--order", "nan", "--arg=1") reads order=nan-arg=1."""
+    flat = [token for arg in args for token in arg.split("=", 1)]
+    return "-".join(f"{flag.lstrip('-')}={value}" for flag, value in zip(flat[::2], flat[1::2]))
+
+
+_EVAL_DOMAIN_ERRORS = [
+    *[(("eval", "--fn", fn, "--order", "nan", "--arg", "1"), "|nu| = nan") for fn in ("J", "N", "H1", "H2", "K")],
+    *[
+        (("eval", "--fn", fn, "--order", "1", "--arg", "nan"), "t = nan" if fn == "K" else "|z| = nan")
+        for fn in ("J", "N", "H1", "H2", "K", "Z")
+    ],
+    (("eval", "--fn", "Z", "--order", "nan", "--arg", "1"), "takes an integer order; got nan"),
+    (("eval", "--fn", "A", "--order", "nan", "--arg", "1"), "takes an integer order; got nan"),
+    (("eval", "--fn", "A", "--order", "1", "--arg", "nan"), "t = nan outside the supported range (0, 20.0]"),
+    (("eval", "--fn", "Z", "--order", "1", "--arg", "50"), "|z| = 50.0 outside the supported range"),
+    # A once printed "arg": Infinity, which is not JSON, with the value 0
+    (("eval", "--fn", "A", "--order", "3", "--arg", "inf"), "t = inf outside the supported range (0, 20.0]"),
+    (("eval", "--fn", "A", "--order", "3", "--arg", "25"), "t = 25.0 outside the supported range (0, 20.0]"),
+    (("eval", "--fn", "A", "--order", "inf", "--arg", "2"), "takes an integer order; got inf"),
+    (("eval", "--fn", "A", "--order=-inf", "--arg", "2"), "takes an integer order; got -inf"),
+]
+
+
 @pytest.mark.parametrize(
     "args, message",
-    [
-        *[(("eval", "--fn", fn, "--order", "nan", "--arg", "1"), "|nu| = nan") for fn in ("J", "N", "H1", "H2", "K")],
-        *[
-            (("eval", "--fn", fn, "--order", "1", "--arg", "nan"), "t = nan" if fn == "K" else "|z| = nan")
-            for fn in ("J", "N", "H1", "H2", "K", "Z")
-        ],
-        (("eval", "--fn", "Z", "--order", "nan", "--arg", "1"), "takes an integer order; got nan"),
-        (("eval", "--fn", "A", "--order", "nan", "--arg", "1"), "takes an integer order; got nan"),
-        (("eval", "--fn", "A", "--order", "1", "--arg", "nan"), "t = nan outside the supported range (0, 20.0]"),
-        (("eval", "--fn", "Z", "--order", "1", "--arg", "50"), "|z| = 50.0 outside the supported range"),
-        # A once printed "arg": Infinity, which is not JSON, with the value 0
-        (("eval", "--fn", "A", "--order", "3", "--arg", "inf"), "t = inf outside the supported range (0, 20.0]"),
-        (("eval", "--fn", "A", "--order", "3", "--arg", "25"), "t = 25.0 outside the supported range (0, 20.0]"),
-        (("eval", "--fn", "A", "--order", "inf", "--arg", "2"), "takes an integer order; got inf"),
-        (("eval", "--fn", "A", "--order=-inf", "--arg", "2"), "takes an integer order; got -inf"),
-    ],
+    _EVAL_DOMAIN_ERRORS,
+    ids=[f"{args[2]}-{_input_id(args[3:])}" for args, _ in _EVAL_DOMAIN_ERRORS],
 )
 def test_eval_nan_and_out_of_range_input_is_a_domain_error(run_cli, args, message):
     r = run_cli("--format", "json", *args)
@@ -363,21 +373,27 @@ def test_check_infinite_z_is_an_error_not_nan_json(run_cli):
     assert r.stderr == "error: z must be >= 0 and finite\n"
 
 
+_BILINEAR_FLOAT_RANGE_ERRORS = [
+    # z^2/2 overflows: the bracket once summed to NaN with a numpy warning
+    (["--z", "1e300", "--t", "2"], "z = 1e+300 outside the supported range [0, 20.0]"),
+    # the terms overflowed here, and the sums once read inf and NaN, with a numpy warning
+    (["--z", "100", "--t", "2"], "z = 100.0 outside the supported range [0, 20.0]"),
+    # inside z's range the terms still overflow: the sums would read inf and NaN
+    (["--z", "20", "--t", "2"], "the bilinear terms at z = 20.0, t = 2.0, N = 200 leave the float range"),
+    # t^2 underflows to 0: the target was once a bare division by zero
+    (
+        ["--z", "0", "--t", "1e-320"],
+        "singular input: t^2 - z^2 = 0.0 at z = 0.0, t = 1e-320; the target (2/pi)/(t^2 - z^2) is not finite",
+    ),
+]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("identity_id", ["EQ11_SUM", "EQ9_REAL"])
 @pytest.mark.parametrize(
     "args, message",
-    [
-        # z^2/2 overflows: the bracket once summed to NaN with a numpy warning
-        (["--z", "1e300", "--t", "2"], "z = 1e+300: the series of J_m(z)/z^m leaves the float range"),
-        # the terms overflow: the sums once read inf and NaN, with a numpy warning
-        (["--z", "100", "--t", "2"], "the bilinear terms at z = 100.0, t = 2.0, N = 200 leave the float range"),
-        # t^2 underflows to 0: the target was once a bare division by zero
-        (
-            ["--z", "0", "--t", "1e-320"],
-            "singular input: t^2 - z^2 = 0.0 at z = 0.0, t = 1e-320; the target (2/pi)/(t^2 - z^2) is not finite",
-        ),
-    ],
+    _BILINEAR_FLOAT_RANGE_ERRORS,
+    ids=[_input_id(args) for args, _ in _BILINEAR_FLOAT_RANGE_ERRORS],
 )
 def test_check_bilinear_outside_the_float_range_is_an_error(run_cli, identity_id, args, message):
     r = run_cli("--format", "json", "check", "--id", identity_id, *args)

@@ -942,13 +942,23 @@ def test_log_reduced_j_large_order_finite():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("z", [1e300, 1e100, 1e3])
+@pytest.mark.parametrize("z", [1e300, 1e100, 1e3, 21.0])
 def test_log_reduced_j_raises_where_its_sums_leave_the_float_range(z):
     """z^2/2 is not finite at 1e300; at 1e100 and 1e3 the bracket's terms
-    overflow.  Each is a ValueError naming z, with no numpy warning."""
-    message = f"z = {z}: the series of J_m(z)/z^m leaves the float range"
+    overflow.  At 21 the sums stay finite but lose their digits to
+    cancellation: at z = 100 they once read log|J_0| = 56.4 (true -3.91).
+    Each z lies past the supported range and is a ValueError naming z, with
+    no numpy warning."""
+    message = f"z = {z} outside the supported range [0, 20.0]"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         log_reduced_j(201, z)
+
+
+def test_log_reduced_j_takes_the_edge_of_its_range():
+    """z = 20 is inside the range, and log|J_0(20)| is good to about 5e-10 there."""
+    signs, logs = log_reduced_j(201, 20.0)
+    assert np.isfinite(logs).all()
+    assert logs[0] == pytest.approx(math.log(abs(sp.j0(20.0))), abs=1e-8)
 
 
 def _frexp_recurrence(t, pmax):
